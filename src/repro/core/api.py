@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..baselines.bnl import bnl_join
 from ..baselines.dcj import dcj_join
@@ -28,7 +28,7 @@ from ..obs.registry import MetricsRegistry, use_registry
 from ..obs.spans import trace_span
 from .framework import framework_join
 from .partition import all_partition_join, lcjoin
-from .results import make_sink
+from .results import PairListSink, PairSink, make_sink
 from .stats import JoinStats, StatsSnapshot
 from .tree_join import tree_join
 
@@ -200,6 +200,7 @@ def set_containment_join(
         "memory_budget": memory_budget,
         "resume": resume if resume else None,
     }
+    sink = make_sink(collect, callback)
     if workers is None and shards is None:
         set_knobs = [name for name, value in supervision.items() if value is not None]
         if set_knobs:
@@ -207,32 +208,62 @@ def set_containment_join(
                 f"{', '.join(set_knobs)} only apply to parallel joins; "
                 "pass workers= or shards= as well"
             )
+        elapsed = join_into(
+            r_collection, s_collection, sink, method=method, stats=stats,
+            backend=backend, **kwargs,
+        )
+        count = len(sink)
+        pairs = sink.pairs if isinstance(sink, PairListSink) else []
     else:
-        # Lazy import: parallel_join's workers call back into this function,
+        # Lazy import: parallel_join's workers call back into this module,
         # so the modules are mutually recursive by design.
         from .parallel import parallel_join
 
         knobs = {k: v for k, v in supervision.items() if v is not None}
         start = time.perf_counter()
         with trace_span("join.run"):
-            pairs = parallel_join(
+            pairs, report = parallel_join(
                 r_collection, s_collection, method=method, workers=workers,
-                shards=shards, backend=backend, **knobs, **kwargs,
+                shards=shards, backend=backend, return_report=True,
+                **knobs, **kwargs,
             )
-        sink = make_sink(collect, callback)
-        for rid, sid in pairs:
-            sink.add(rid, sid)
+        if collect == "callback":
+            for rid, sid in pairs:
+                sink.add(rid, sid)
+        elapsed = time.perf_counter() - start
+        count = len(pairs)
         if stats is not None:
-            stats.elapsed_seconds += time.perf_counter() - start
-            stats.results += len(sink)
-        if reg is not None and snapshot is not None and stats is not None:
-            reg.record_join_stats(snapshot.delta(stats))
-        if collect == "pairs":
-            return sink.pairs
-        return len(sink)
+            stats.merge(report.stats)
+    if stats is not None:
+        stats.elapsed_seconds += elapsed
+        stats.results += count
+    if reg is not None and snapshot is not None and stats is not None:
+        reg.record_join_stats(snapshot.delta(stats))
+    return pairs if collect == "pairs" else count
+
+
+def join_into(
+    r_collection: SetCollection,
+    s_collection: SetCollection,
+    sink: PairSink,
+    method: str = "lcjoin",
+    stats: Optional[JoinStats] = None,
+    backend: str = "python",
+    **kwargs: Any,
+) -> float:
+    """Run one serial join into ``sink``; return the method's seconds.
+
+    The dispatch core of :func:`set_containment_join`, shared with the
+    parallel driver's chunk runner: resolves ``"auto"``, validates the
+    method and backend, runs the method under the ``join.run`` span and
+    applies the ``REPRO_CHECK`` cross-check to array-backend pair lists.
+    It leaves ``stats.results``, ``stats.elapsed_seconds`` and the
+    registry's ``join.*`` mirror to the caller, so a parallel chunk's
+    counters reach the caller's stats once, through the chunk result.
+    """
     if method == "auto":
         # Lazy import: the planner's estimator runs joins through this very
-        # function, so the modules are mutually recursive by design.
+        # module, so the modules are mutually recursive by design.
         from .planner import choose_method
 
         method = choose_method(r_collection, s_collection).method
@@ -251,19 +282,13 @@ def set_containment_join(
                 f"{sorted(BACKEND_METHODS)}; got method={method!r}"
             )
         kwargs["backend"] = backend
-    sink = make_sink(collect, callback)
     start = time.perf_counter()
     with trace_span("join.run"):
         impl(r_collection, s_collection, sink, stats=stats, **kwargs)
     elapsed = time.perf_counter() - start
-    if stats is not None:
-        stats.elapsed_seconds += elapsed
-        stats.results += len(sink)
-    if reg is not None and snapshot is not None and stats is not None:
-        reg.record_join_stats(snapshot.delta(stats))
     if (
         backend != "python"
-        and collect == "pairs"
+        and isinstance(sink, PairListSink)
         and os.environ.get("REPRO_CHECK", "") not in ("", "0")
     ):
         # REPRO_CHECK=1 sanitizer: spot-check the array-backend pair set
@@ -274,6 +299,4 @@ def set_containment_join(
         crosscheck_backends(
             r_collection, s_collection, sink.pairs, method, backend=backend
         )
-    if collect == "pairs":
-        return sink.pairs
-    return len(sink)
+    return elapsed

@@ -14,9 +14,23 @@ three implementations cover the practical cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, List, Optional, Protocol, Tuple, Union
+from itertools import chain, repeat
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from ..errors import InvalidParameterError
+from .stats import JoinStats
 
 __all__ = [
     "PairSink",
@@ -24,6 +38,7 @@ __all__ = [
     "CountSink",
     "CallbackSink",
     "make_sink",
+    "pair_columns",
     "AttemptRecord",
     "ChunkReport",
     "ShardReport",
@@ -79,14 +94,14 @@ class PairListSink:
         to_list = getattr(rids, "tolist", None)
         if to_list is not None:
             rids = to_list()
-        self.pairs.extend((rid, sid) for rid in rids)
+        self.pairs.extend(zip(rids, repeat(sid)))
 
     def add_sids(self, rid: int, sids: Iterable[int]) -> None:
         """Emit ``(rid, sid)`` for every sid in ``sids``."""
         to_list = getattr(sids, "tolist", None)
         if to_list is not None:
             sids = to_list()
-        self.pairs.extend((rid, sid) for sid in sids)
+        self.pairs.extend(zip(repeat(rid), sids))
 
     def add_pairs(self, rids: Iterable[int], sids: Iterable[int]) -> None:
         """Emit ``(rid, sid)`` for every aligned pair in ``rids``/``sids``."""
@@ -104,6 +119,20 @@ class PairListSink:
     def sorted_pairs(self) -> List[Tuple[int, int]]:
         """Pairs in canonical ``(rid, sid)`` order, for comparisons in tests."""
         return sorted(self.pairs)
+
+
+#: A pair list as two aligned int64 columns: ``(rids, sids)``.
+PairColumns = Tuple[np.ndarray, np.ndarray]
+
+
+def pair_columns(pairs: Sequence[Tuple[int, int]]) -> PairColumns:
+    """``(rids, sids)`` of a pair list as contiguous int64 arrays.
+
+    One ``fromiter`` pass over the flattened pairs: columns pickle in
+    milliseconds where the tuple list takes a hundred times longer.
+    """
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    return flat[0::2].copy(), flat[1::2].copy()
 
 
 class CountSink:
@@ -279,6 +308,11 @@ class JoinReport:
     speculated_chunks: List[int] = field(default_factory=list)
     speculation_wins: List[int] = field(default_factory=list)
     shard_restarts: int = 0
+    #: The method counters (rounds, binary searches, local builds, ...) of
+    #: the attempt that settled each chunk, merged in chunk-id order. Lost
+    #: and superseded attempts never count; chunks resumed from spills add
+    #: zero. ``results`` and ``elapsed_seconds`` stay 0 here.
+    stats: JoinStats = field(default_factory=JoinStats)
 
     @property
     def total_attempts(self) -> int:

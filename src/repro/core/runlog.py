@@ -20,6 +20,8 @@ holds:
     file is *detected and discarded* on resume rather than silently merged.
     Pairs are spilled with **global** record ids (the supervisor settles
     remapped results), so resumed chunks merge without further translation.
+    Chunks settle as int64 ``(rids, sids)`` columns and are spilled and
+    loaded in that form; the bytes are the same as for the pair list.
 
 ``segments.json``
     The shared-memory segment names of the in-flight run. If the driver is
@@ -37,7 +39,7 @@ immediately) and :func:`signal_cancellation`, which routes SIGINT/SIGTERM
 into the token for the duration of a run and restores the previous
 handlers afterwards.
 
-Fault injection: ``RunLog.record_chunk`` consults the run's
+Fault injection: ``RunLog.record_columns`` consults the run's
 :class:`~repro.faults.FaultPlan` for driver-stage actions — see the
 grammar in :mod:`repro.faults` (``driverkill``/``diskfull``/``torn``).
 
@@ -59,6 +61,8 @@ from dataclasses import asdict, dataclass
 from types import FrameType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..data.collection import SetCollection
 from ..errors import (
     CheckpointError,
@@ -68,6 +72,7 @@ from ..errors import (
 from ..faults import CRASH_EXIT_CODE, FaultPlan
 from ..obs.registry import active_or_null
 from ..obs.spans import trace_span
+from .results import PairColumns, pair_columns
 
 __all__ = [
     "RunManifest",
@@ -229,14 +234,16 @@ class RunManifest:
 # -- spill encoding --------------------------------------------------------
 
 
-def _encode_spill(chunk_id: int, pairs: Sequence[Pair]) -> bytes:
-    body = "".join(f"{rid} {sid}\n" for rid, sid in pairs).encode("ascii")
+def _encode_spill(chunk_id: int, rids: np.ndarray, sids: np.ndarray) -> bytes:
+    body = "".join(
+        f"{rid} {sid}\n" for rid, sid in zip(rids.tolist(), sids.tolist())
+    ).encode("ascii")
     checksum = hashlib.sha256(body).hexdigest()
-    header = f"{_SPILL_MAGIC} {chunk_id} {len(pairs)} {checksum}\n".encode("ascii")
+    header = f"{_SPILL_MAGIC} {chunk_id} {len(rids)} {checksum}\n".encode("ascii")
     return header + body
 
 
-def _decode_spill(raw: bytes, expected_chunk: int) -> List[Pair]:
+def _decode_spill(raw: bytes, expected_chunk: int) -> PairColumns:
     """Parse and verify one spill; any defect raises :class:`CheckpointError`."""
     newline = raw.find(b"\n")
     if newline < 0:
@@ -256,17 +263,20 @@ def _decode_spill(raw: bytes, expected_chunk: int) -> List[Pair]:
     body = raw[newline + 1 :]
     if hashlib.sha256(body).hexdigest() != fields[3]:
         raise CheckpointError("spill checksum mismatch (torn or corrupt write)")
-    pairs: List[Pair] = []
+    flat: List[int] = []
     for line in body.splitlines():
         parts = line.split()
         if len(parts) != 2:
             raise CheckpointError("spill payload line is malformed")
-        pairs.append((int(parts[0]), int(parts[1])))
-    if len(pairs) != count:
+        flat += (int(parts[0]), int(parts[1]))
+    if len(flat) != 2 * count:
         raise CheckpointError(
-            f"spill payload holds {len(pairs)} pairs, header promises {count}"
+            f"spill payload holds {len(flat) // 2} pairs, header promises {count}"
         )
-    return pairs
+    return (
+        np.array(flat[0::2], dtype=np.int64),
+        np.array(flat[1::2], dtype=np.int64),
+    )
 
 
 # -- run log ---------------------------------------------------------------
@@ -277,7 +287,7 @@ class RunLog:
 
     Construction goes through :meth:`create` (fresh run: refuses to adopt a
     directory that already holds a manifest) or :meth:`open` (resume: reads
-    and parses the existing manifest). ``record_chunk`` spills settled
+    and parses the existing manifest). ``record_columns`` spills settled
     chunks as they arrive; a spill failure (e.g. disk full) degrades
     checkpointing to *off* with a :class:`DegradedExecutionWarning` instead
     of failing the join — durability is an add-on, not a correctness
@@ -363,7 +373,13 @@ class RunLog:
     # -- spills ------------------------------------------------------------
 
     def record_chunk(self, chunk_id: int, attempt: int, pairs: Sequence[Pair]) -> None:
-        """Durably spill one settled chunk's (global-id) pair list.
+        """Durably spill one settled chunk's (global-id) pair list."""
+        self.record_columns(chunk_id, attempt, *pair_columns(pairs))
+
+    def record_columns(
+        self, chunk_id: int, attempt: int, rids: np.ndarray, sids: np.ndarray
+    ) -> None:
+        """Durably spill one settled chunk's (global-id) pair columns.
 
         Consults the fault plan for driver-stage actions; a real ``OSError``
         (or an injected ``diskfull``) disables further checkpointing for
@@ -373,7 +389,7 @@ class RunLog:
             return
         rule = None if self._plan is None else self._plan.rule_for_checkpoint(chunk_id, attempt)
         metrics = active_or_null()
-        payload = _encode_spill(chunk_id, pairs)
+        payload = _encode_spill(chunk_id, rids, sids)
         path = self.chunk_path(chunk_id)
         try:
             with trace_span("checkpoint.write"):
@@ -411,6 +427,15 @@ class RunLog:
             os._exit(CRASH_EXIT_CODE)
 
     def load_chunks(self) -> Tuple[Dict[int, List[Pair]], List[int]]:
+        """Verified spills as pair lists; see :meth:`load_columns`."""
+        spilled, discarded = self.load_columns()
+        completed = {
+            chunk_id: list(zip(rids.tolist(), sids.tolist()))
+            for chunk_id, (rids, sids) in spilled.items()
+        }
+        return completed, discarded
+
+    def load_columns(self) -> Tuple[Dict[int, PairColumns], List[int]]:
         """Verified spills plus the chunk ids discarded as torn/corrupt.
 
         Stray temp files from interrupted atomic writes are removed; any
@@ -419,7 +444,7 @@ class RunLog:
         the first step of a new attempt at the run.
         """
         metrics = active_or_null()
-        completed: Dict[int, List[Pair]] = {}
+        completed: Dict[int, PairColumns] = {}
         discarded: List[int] = []
         with trace_span("checkpoint.resume"):
             for name in sorted(os.listdir(self.directory)):

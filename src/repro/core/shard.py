@@ -86,8 +86,9 @@ _KILL_GRACE = 1.0
 
 #: A job tuple as consumed by ``repro.core.parallel._join_chunk``.
 _Job = Tuple[Any, ...]
-_Pairs = List[Tuple[int, int]]
-_Runner = Callable[[_Job], _Pairs]
+#: Whatever the runner returns for a chunk; carried, never inspected.
+_Result = Any
+_Runner = Callable[[_Job], _Result]
 _JobFactory = Callable[[int, str], _Job]
 _RidMap = Union[int, List[int]]
 
@@ -352,10 +353,10 @@ class ShardCoordinator:
         plan: Optional[FaultPlan] = None,
         make_job: Optional[_JobFactory] = None,
         runner: Optional[_Runner] = None,
-        on_result: Optional[Callable[[int, int, _Pairs], None]] = None,
+        on_result: Optional[Callable[[int, int, _Result], None]] = None,
         cancel: Optional[CancelToken] = None,
         deadline_mark: Optional[float] = None,
-        completed: Optional[Dict[int, _Pairs]] = None,
+        completed: Optional[Dict[int, _Result]] = None,
     ) -> None:
         if retries < 0:
             raise InvalidParameterError(f"retries must be >= 0, got {retries}")
@@ -384,7 +385,7 @@ class ShardCoordinator:
         self._nodes = [_Node(shard_id) for shard_id in range(shards)]
         self._states = [_ChunkState(i) for i in range(len(chunks))]
         self._pending: List[_ChunkState] = []
-        self._results: Dict[int, _Pairs] = {}
+        self._results: Dict[int, _Result] = {}
         self._durations: List[float] = []
         self._restarts_used = 0
         budget = policy.restart_budget
@@ -412,7 +413,7 @@ class ShardCoordinator:
 
     # -- public entry ------------------------------------------------------
 
-    def run(self) -> Dict[int, _Pairs]:
+    def run(self) -> Dict[int, _Result]:
         """Drive every chunk to settlement; returns results by chunk id."""
         start = time.perf_counter()
         try:
@@ -644,7 +645,7 @@ class ShardCoordinator:
         )
 
     def _settle(
-        self, node: _Node, assignment: _Assignment, pairs: _Pairs, now: float
+        self, node: _Node, assignment: _Assignment, pairs: _Result, now: float
     ) -> None:
         state = self._states[assignment.chunk_id]
         duration = now - assignment.started

@@ -115,7 +115,9 @@ def interruptible_wait(
 
 #: A job tuple as consumed by ``repro.core.parallel._join_chunk``.
 _Job = Tuple[Any, ...]
-_Runner = Callable[[_Job], List[Tuple[int, int]]]
+#: Whatever the runner returns for a chunk; carried, never inspected.
+_Result = Any
+_Runner = Callable[[_Job], _Result]
 #: Builds the job for (chunk_id, mode); runs in the parent only.
 _JobFactory = Callable[[int, str], _Job]
 
@@ -221,10 +223,10 @@ class Supervisor:
     plan:
         Optional :class:`~repro.faults.FaultPlan` shipped to workers.
     on_result:
-        Called as ``on_result(chunk_id, attempt, pairs)`` the moment a
+        Called as ``on_result(chunk_id, attempt, result)`` the moment a
         chunk settles ok (worker or fallback). The durable-run layer wires
-        this to ``RunLog.record_chunk`` so results stream to disk as they
-        arrive instead of at join end.
+        this to ``RunLog.record_columns`` so results stream to disk as
+        they arrive instead of at join end.
     cancel:
         Optional :class:`~repro.core.runlog.CancelToken`. Its read fd joins
         the dispatch loop's wait set; once cancelled the loop kills
@@ -253,10 +255,10 @@ class Supervisor:
         fallback: bool = True,
         plan: Optional[FaultPlan] = None,
         chunk_sizes: Optional[List[int]] = None,
-        on_result: Optional[Callable[[int, int, List[Tuple[int, int]]], None]] = None,
+        on_result: Optional[Callable[[int, int, _Result], None]] = None,
         cancel: Optional[CancelToken] = None,
         deadline_at: Optional[float] = None,
-        completed: Optional[Dict[int, List[Tuple[int, int]]]] = None,
+        completed: Optional[Dict[int, _Result]] = None,
     ) -> None:
         if retries < 0:
             raise InvalidParameterError(f"retries must be >= 0, got {retries}")
@@ -284,7 +286,7 @@ class Supervisor:
         self._mp = multiprocessing.get_context()
         self._tasks = [_Task(chunk_id=i, mode=primary_mode) for i in range(num_chunks)]
         self._running: List[_Attempt] = []
-        self._results: Dict[int, List[Tuple[int, int]]] = {}
+        self._results: Dict[int, _Result] = {}
         self._shm_failures = 0
         self._shm_disabled = primary_mode != "shm"
         sizes = chunk_sizes if chunk_sizes is not None else [0] * num_chunks
@@ -308,7 +310,7 @@ class Supervisor:
 
     # -- public entry ------------------------------------------------------
 
-    def run(self) -> Dict[int, List[Tuple[int, int]]]:
+    def run(self) -> Dict[int, _Result]:
         """Execute every chunk to completion; returns results by chunk id.
 
         Raises only when a chunk cannot be completed at all: fallback

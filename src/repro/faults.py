@@ -108,7 +108,7 @@ FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 #: :data:`CHECKPOINT_ACTIONS` fire in the driver at checkpoint-spill time.
 ACTIONS = ("crash", "hang", "raise", "shmfail", "driverkill", "diskfull", "torn")
 
-#: The subset of :data:`ACTIONS` consulted by ``RunLog.record_chunk`` —
+#: The subset of :data:`ACTIONS` consulted by ``RunLog.record_columns`` —
 #: these target the *driver* process, not a worker.
 CHECKPOINT_ACTIONS = ("driverkill", "diskfull", "torn")
 

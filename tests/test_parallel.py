@@ -353,7 +353,8 @@ class TestWorkerShmCleanup:
         )
         try:
             args = (0, r, s, "framework", "csr", ("shm", handle), {}, {})
-            pairs = _join_chunk(args)
+            rids, sids, __ = _join_chunk(args)
+            pairs = zip(rids.tolist(), sids.tolist())
             assert sorted(pairs) == sorted(ground_truth(r, s))
         finally:
             handle.cleanup()
