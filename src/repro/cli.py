@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_join.add_argument("--retries", type=int, default=2,
                         help="re-dispatches per failed chunk (parallel only)")
     p_join.add_argument("--task-timeout", type=float, default=None,
-                        help="per-chunk worker deadline in seconds; hung "
-                        "workers are killed and retried (parallel only)")
+                        help="per-attempt deadline in seconds; a hung "
+                        "attempt's worker or shard node is killed and the "
+                        "chunk retried (--workers and --shards)")
     p_join.add_argument("--backoff", type=float, default=0.05,
                         help="base retry delay in seconds, doubled per "
                         "attempt (parallel only)")

@@ -27,7 +27,7 @@ from .results import (
     PairListSink,
     make_sink,
 )
-from .supervisor import Supervisor
+from .supervisor import Coordinator, ShardPolicy
 from .stats import JoinStats
 from .tree_join import tree_join
 from .verify import check_join_result, ground_truth
@@ -43,7 +43,8 @@ __all__ = [
     "lcjoin",
     "parallel_join",
     "split_collection",
-    "Supervisor",
+    "Coordinator",
+    "ShardPolicy",
     "JoinReport",
     "ChunkReport",
     "AttemptRecord",

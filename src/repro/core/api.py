@@ -151,12 +151,13 @@ def set_containment_join(
         these without ``workers`` (or ``shards``) is an error — they have
         no serial meaning.
     shards:
-        When set, the join runs through the sharded scale-out coordinator
-        (:class:`~repro.core.shard.ShardCoordinator`) instead of the
-        worker pool: that many independent processes-as-nodes, each with
-        its own index copy, plus heartbeats, straggler speculation and
-        whole-shard crash recovery. The supervision and durability knobs
-        above apply unchanged; ``workers`` is ignored when both are set.
+        When set, the same coordinator
+        (:class:`~repro.core.supervisor.Coordinator`) runs that many
+        *sharded* nodes instead of workers: each builds its own index
+        copy, stragglers get speculative duplicates, and nodes that die on
+        their own are respawned within a restart budget. The supervision
+        knobs (``task_timeout`` included) and the durability knobs above
+        apply unchanged; ``workers`` is ignored when both are set.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` installed
         for the duration of this call: phase spans (``join.run``,

@@ -52,10 +52,13 @@ columns pickle in about a millisecond where a tuple list of the same
 pairs takes a hundred times longer, and the parent builds the final list
 once, in chunk-id order, with one ``zip`` over ``tolist()`` columns.
 
-Since the chunks are independently re-executable, worker failures are
+Since the chunks are independently re-executable, failures are
 recoverable: dispatch runs through :class:`~repro.core.supervisor
-.Supervisor`, which detects crashed and hung workers, retries chunks with
-capped exponential backoff (``retries=``, ``task_timeout=``, ``backoff=``),
+.Coordinator` in both ``workers=`` and ``shards=`` mode. Its long-lived
+nodes receive S, the index payload, the order and the chunk list once,
+when they are forked, and then one small job message per attempt. It
+detects crashed, hung and wedged nodes, retries chunks with capped
+exponential backoff (``retries=``, ``task_timeout=``, ``backoff=``),
 downgrades the payload path when shared memory misbehaves, and — after
 exhausting retries — falls back to in-process execution on the python
 backend. ``return_report=True`` returns the structured
@@ -74,7 +77,6 @@ import time
 import uuid
 import warnings
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -88,25 +90,16 @@ from typing import (
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .shard import ShardPolicy
-
 from ..data.collection import SetCollection
-from ..errors import (
-    DeadlineExceededError,
-    DegradedExecutionWarning,
-    InvalidParameterError,
-    JoinCancelledError,
-)
+from ..errors import DegradedExecutionWarning, InvalidParameterError
 from ..faults import FaultPlan
 from ..index.inverted import InvertedIndex
 from ..index.storage import CSRInvertedIndex, HybridInvertedIndex, SharedCSRHandle
 from ..memory.meter import collection_footprint
 from ..obs.registry import active_or_null
-from ..obs.spans import trace_span
 from .api import BACKEND_METHODS, BACKENDS, join_into
 from .order import GlobalOrder, build_order
-from .results import AttemptRecord, ChunkReport, JoinReport, PairListSink, pair_columns
+from .results import AttemptRecord, JoinReport, PairListSink, pair_columns
 from .runlog import (
     CancelToken,
     RunLog,
@@ -116,7 +109,7 @@ from .runlog import (
     signal_cancellation,
 )
 from .stats import JoinStats
-from .supervisor import Supervisor
+from .supervisor import Coordinator, ShardPolicy, check_abort, start_report
 
 __all__ = [
     "parallel_join",
@@ -337,6 +330,46 @@ def _join_chunk(args: Tuple[Any, ...]) -> ChunkResult:
     return ChunkResult(rids, sids, stats)
 
 
+#: A split of R: each piece with its rid mapping (see split_collection).
+_Chunks = List[Tuple[Union[int, List[int]], SetCollection]]
+
+
+class _ChunkJobs(NamedTuple):
+    """The job factory a node receives once, when it is forked.
+
+    ``jobs(chunk_id, mode)`` is the :func:`_join_chunk` tuple for one
+    attempt; ``mode`` picks the index payload, and ``"local"`` is the
+    in-process fallback (python backend, no shared index). Under the fork
+    start method S, the payloads, the order and every chunk reach a node
+    through copy-on-write memory and are never pickled.
+    """
+
+    chunks: _Chunks
+    s_collection: SetCollection
+    method: str
+    backend: str
+    payloads: Dict[str, Optional[_IndexPayload]]
+    extra: Dict[str, Any]
+    kwargs: Dict[str, Any]
+
+    def __call__(self, chunk_id: int, mode: str) -> Tuple[Any, ...]:
+        rid_map, piece = self.chunks[chunk_id]
+        if mode == "local":
+            # Degradation terminus: in-process, pure-python backend, the
+            # method builds its own chunk-scoped structures. Slowest path,
+            # fewest moving parts.
+            return (rid_map, piece, self.s_collection, self.method, "python",
+                    None, self.extra, self.kwargs)
+        return (rid_map, piece, self.s_collection, self.method, self.backend,
+                self.payloads[mode], self.extra, self.kwargs)
+
+    def with_local_index(self) -> _ChunkJobs:
+        """This factory plus a ``"shard"`` payload: the caller's own index."""
+        index = build_method_index(self.s_collection, self.method, self.backend)
+        payload = None if index is None else ("direct", index)
+        return self._replace(payloads={**self.payloads, "shard": payload})
+
+
 # -- memory-budget admission control ---------------------------------------
 #
 # Analytic bytes-per-entry figures for the admission model, derived from the
@@ -356,33 +389,37 @@ _CHUNK_FIXED_BYTES = 1 << 16
 
 def _admit_memory(
     budget: int,
-    r_entries: int,
+    split: Callable[[int], _Chunks],
+    r_collection: SetCollection,
     s_entries: int,
     workers: int,
     num_chunks: int,
-    max_chunks: int,
     backend: str,
     allow_split: bool,
     index_shared: Optional[bool] = None,
-) -> Tuple[int, int, List[str]]:
+) -> Tuple[_Chunks, int, int, List[str]]:
     """Fit the run under ``memory_budget`` bytes; returns the adjusted plan.
 
     The model: the superset-side index is a *fixed* cost paid once when it
-    is shared (CSR via shm/fork) and a *per-worker* cost when it is pickled
-    into each job (python backend); each concurrent worker additionally
-    holds one R-chunk. Two knobs, applied in order: split R into more
-    (smaller) chunks until one worker fits, then cap the number of
-    concurrent workers so the sum fits. ``allow_split=False`` (resume: the
-    chunk split is fixed by the manifest) only caps workers. Raises
-    :class:`InvalidParameterError` when even the minimal configuration
-    (one worker, single-record chunks) exceeds the budget.
+    is shared (CSR via shm/fork) and a *per-worker* cost when each worker
+    holds its own copy (the python index); each concurrent worker
+    additionally holds one R-chunk, priced at the *largest* chunk of the
+    split that will actually run — the anchor split balances record
+    counts, not entries, so its largest chunk can cost more than the mean.
+    Two knobs, applied in order: re-split R into more chunks until the
+    largest fits one worker, then cap the number of concurrent workers so
+    the sum fits. ``allow_split=False`` (resume: the chunk split is fixed
+    by the manifest) only caps workers. Raises
+    :class:`InvalidParameterError` when even one worker holding a single
+    record exceeds the budget.
 
     ``index_shared`` overrides the backend-derived sharing assumption:
     sharded runs pass ``False`` because every shard node builds its own
-    index copy (no cross-shard shared memory), so even the array backends
-    pay the index per concurrent node there.
+    index copy, so even the array backends pay the index per node there.
+
+    Returns ``(chunks, num_chunks, workers, notes)``: the split, the count
+    it was asked for, the admitted concurrency and one note per decision.
     """
-    per_entry = _PY_BYTES_PER_ENTRY
     index_bytes = s_entries * (
         _CSR_BYTES_PER_ENTRY
         if backend in ("csr", "hybrid")
@@ -391,34 +428,42 @@ def _admit_memory(
     shared_index = (
         backend in ("csr", "hybrid") if index_shared is None else index_shared
     )
-    fixed = index_bytes if shared_index else 0
     per_worker_index = 0 if shared_index else index_bytes
-    avail = budget - fixed
+    avail = budget - (index_bytes if shared_index else 0)
 
-    def chunk_cost(chunks: int) -> int:
-        return -(-r_entries // chunks) * per_entry + _CHUNK_FIXED_BYTES
+    def worker_cost(entries: int) -> int:
+        return per_worker_index + entries * _PY_BYTES_PER_ENTRY + _CHUNK_FIXED_BYTES
 
-    if avail < per_worker_index + chunk_cost(max_chunks):
+    # The most R entries one chunk may hold with its worker under budget.
+    max_entries = (avail - worker_cost(0)) // _PY_BYTES_PER_ENTRY
+    smallest = max(len(record) for record in r_collection.records) + 1
+    if max_entries < smallest:
         raise InvalidParameterError(
             f"memory_budget={budget} cannot admit this join: the "
             f"{'shared ' if shared_index else ''}index costs "
             f"{index_bytes} bytes and the smallest possible worker needs "
-            f"{per_worker_index + chunk_cost(max_chunks)} more; raise the "
-            "budget or shrink the inputs"
+            f"{worker_cost(smallest)} more; raise the budget or shrink the "
+            "inputs"
         )
     notes: List[str] = []
     metrics = active_or_null()
-    if allow_split and per_worker_index + chunk_cost(num_chunks) > avail:
-        max_entries = (avail - per_worker_index - _CHUNK_FIXED_BYTES) // per_entry
-        new_chunks = min(max_chunks, -(-r_entries // max(1, max_entries)))
-        if new_chunks > num_chunks:
-            notes.append(
-                f"memory budget {budget}: R split into {new_chunks} chunks "
-                f"(was {num_chunks}) so one chunk fits a worker"
-            )
-            metrics.inc("supervisor.memory_splits")
-            num_chunks = new_chunks
-    allowed = int(avail // max(1, per_worker_index + chunk_cost(num_chunks)))
+    chunks = split(num_chunks)
+    largest = max(collection_footprint(piece) for __, piece in chunks)
+    asked = num_chunks
+    while allow_split and largest > max_entries and num_chunks < len(r_collection):
+        num_chunks = min(
+            len(r_collection),
+            max(num_chunks + 1, -(-num_chunks * largest // max_entries)),
+        )
+        chunks = split(num_chunks)
+        largest = max(collection_footprint(piece) for __, piece in chunks)
+    if num_chunks > asked:
+        notes.append(
+            f"memory budget {budget}: R split into {num_chunks} chunks "
+            f"(was {asked}) so one chunk fits a worker"
+        )
+        metrics.inc("supervisor.memory_splits")
+    allowed = int(avail // worker_cost(largest))
     if allowed < workers:
         allowed = max(1, allowed)
         notes.append(
@@ -427,7 +472,7 @@ def _admit_memory(
         )
         metrics.inc("supervisor.memory_caps")
         workers = allowed
-    return num_chunks, workers, notes
+    return chunks, num_chunks, workers, notes
 
 
 def parallel_join(
@@ -451,7 +496,7 @@ def parallel_join(
     memory_budget: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
     shards: Optional[int] = None,
-    shard_policy: Optional["ShardPolicy"] = None,
+    shard_policy: Optional[ShardPolicy] = None,
     **kwargs: Any,
 ) -> Union[List[Tuple[int, int]], Tuple[List[Tuple[int, int]], JoinReport]]:
     """Join with ``workers`` processes (defaults to the CPU count).
@@ -463,27 +508,30 @@ def parallel_join(
 
     The superset-side index is built **once** here and shared with every
     worker — via shared memory for the array backends (``"csr"`` and
-    ``"hybrid"``; zero-copy attach, bitmap rows included), via pickling for
-    the Python backend (see the module docstring for the measured
-    pickle-vs-rebuild costs). Pass a prebuilt ``index=`` to skip
-    even the single parent-side build, e.g. when issuing many joins against
-    the same ``S``. ``strategy`` selects the ``R`` chunking
-    (:func:`split_collection`): ``"anchor"`` (whole partitions of the
-    global order) for ``tree``, ``tree_et``, ``all_partition`` and
-    ``lcjoin``, ``"round_robin"`` for every other method. A resumed run
-    without an explicit ``strategy`` keeps the one its manifest recorded.
+    ``"hybrid"``; zero-copy attach, bitmap rows included), via the fork
+    (or, failing that, pickling) for the Python backend (see the module
+    docstring for the measured pickle-vs-rebuild costs). Pass a prebuilt
+    ``index=`` to skip even the single parent-side build, e.g. when
+    issuing many joins against the same ``S``. ``strategy`` selects the
+    ``R`` chunking (:func:`split_collection`): ``"anchor"`` (whole
+    partitions of the global order) for ``tree``, ``tree_et``,
+    ``all_partition`` and ``lcjoin``, ``"round_robin"`` for every other
+    method. A resumed run without an explicit ``strategy`` keeps the one
+    its manifest recorded.
 
     Each chunk ships its pairs back as int64 columns together with the
     method counters of the attempt that settled it; the report's ``stats``
     holds their sum in chunk-id order (lost and superseded attempts never
     count, and chunks resumed from spills add zero).
 
-    Multi-process runs are supervised: each chunk is a tracked task with up
-    to ``retries`` re-dispatches (exponential ``backoff`` capped at
-    ``backoff_cap``) and an optional per-attempt ``task_timeout`` that
-    catches hung workers. A chunk whose retries are exhausted falls back to
-    in-process python-backend execution unless ``fallback=False``, in which
-    case :class:`~repro.errors.WorkerFailedError` /
+    Multi-process runs are supervised by one
+    :class:`~repro.core.supervisor.Coordinator` over long-lived nodes:
+    each chunk is a tracked task with up to ``retries`` re-dispatches
+    (exponential ``backoff`` capped at ``backoff_cap``) and an optional
+    per-attempt ``task_timeout`` that catches hung attempts. A chunk whose
+    retries are exhausted falls back to in-process python-backend
+    execution unless ``fallback=False``, in which case
+    :class:`~repro.errors.WorkerFailedError` /
     :class:`~repro.errors.JoinTimeoutError` is raised. ``faults`` (or the
     ``REPRO_FAULTS`` environment variable) injects deterministic worker
     faults for testing — see :mod:`repro.faults`.
@@ -501,16 +549,17 @@ def parallel_join(
     :class:`~repro.errors.JoinCancelledError` is raised. ``deadline=``
     bounds the run's wall clock the same way
     (:class:`~repro.errors.DeadlineExceededError`), and
-    ``memory_budget=`` (bytes) admission-controls the plan — oversized
-    chunks are split and concurrency capped, each decision recorded in the
-    report and warned as :class:`~repro.errors.DegradedExecutionWarning`.
+    ``memory_budget=`` (bytes) admission-controls the plan — the largest
+    chunk of the split is priced, oversized chunks are split and
+    concurrency capped, each decision recorded in the report and warned
+    as :class:`~repro.errors.DegradedExecutionWarning`.
 
-    **Sharding.** ``shards=N`` replaces the shared-memory worker pool with
-    the scale-out coordinator (:class:`~repro.core.shard.ShardCoordinator`):
-    N independent long-lived *nodes*, each building its own index copy —
-    no cross-shard shared memory — with per-shard heartbeats, straggler
-    speculation, and whole-shard crash recovery (``shard_policy=`` tunes
-    the thresholds). ``workers`` is ignored in this mode; ``retries``,
+    **Sharding.** ``shards=N`` runs the same coordinator over N *sharded*
+    nodes: each builds its own index copy — no cross-shard shared memory —
+    stragglers get speculative duplicates, and a node that dies on its own
+    is respawned while ``shard_policy.restart_budget`` lasts. Fresh runs
+    split R into ``N × shard_policy.chunks_per_shard`` chunks. ``workers``
+    is ignored in this mode; ``retries``, ``task_timeout``,
     ``backoff``/``backoff_cap``, ``fallback``, ``faults`` and the whole
     durability contract above apply unchanged, so a killed coordinator
     resumes a sharded run exactly like a killed driver resumes a pooled
@@ -543,22 +592,14 @@ def parallel_join(
     if faults is None:
         faults = FaultPlan.from_env()
 
-    use_shards = shards is not None
-    policy: Optional["ShardPolicy"] = None
-    if use_shards:
-        # Lazy import: shard.py consumes this module's job machinery, so
-        # the modules are mutually recursive by design (as with api.py).
-        from .shard import ShardCoordinator, ShardPolicy
-
-        policy = shard_policy if shard_policy is not None else ShardPolicy()
-
-    n_records = len(r_collection)
-    if shards is not None and policy is not None:
+    policy = shard_policy if shard_policy is not None else ShardPolicy()
+    if shards is not None:
         # More chunks than shards keeps requeue/speculation granular: a
         # dead shard re-runs a slice of its work, not all of it.
-        num_chunks = shards * policy.chunks_per_shard
+        concurrency, num_chunks = shards, shards * policy.chunks_per_shard
     else:
-        num_chunks = workers
+        concurrency = num_chunks = workers
+    n_records = len(r_collection)
     runlog: Optional[RunLog] = None
     completed: Dict[int, ChunkResult] = {}
     discarded: List[int] = []
@@ -576,8 +617,8 @@ def parallel_join(
                 r_fp, s_fp, method, backend, strategy, kwargs_repr, n_records
             )
             # The manifest's chunk split is authoritative: spilled chunk
-            # ids only name the same work under the same split. ``workers``
-            # still caps concurrency below.
+            # ids only name the same work under the same split. The
+            # concurrency still caps how many chunks run at once.
             num_chunks = runlog.manifest.num_chunks
             runlog.reclaim_stale_segments()
             spilled, discarded = runlog.load_columns()
@@ -587,27 +628,6 @@ def parallel_join(
             }
     if strategy is None:
         strategy = "anchor" if method in _ORDER_METHODS else "round_robin"
-
-    admission_notes: List[str] = []
-    if memory_budget is not None and n_records > 0:
-        concurrency = shards if shards is not None else workers
-        num_chunks, concurrency, admission_notes = _admit_memory(
-            memory_budget,
-            collection_footprint(r_collection),
-            collection_footprint(s_collection),
-            concurrency,
-            num_chunks,
-            max_chunks=n_records,
-            backend=backend,
-            allow_split=runlog is None,
-            index_shared=False if use_shards else None,
-        )
-        if use_shards:
-            shards = concurrency
-        else:
-            workers = concurrency
-        for note in admission_notes:
-            warnings.warn(note, DegradedExecutionWarning, stacklevel=2)
 
     # One global order serves both the anchor split and, for the methods
     # that take it, every worker's join.
@@ -622,11 +642,29 @@ def parallel_join(
         order = build_order(s_collection, universe=universe)
         if method in _ORDER_METHODS:
             extra["order"] = order
-    chunks = split_collection(
-        r_collection, num_chunks, strategy=strategy, order=order
-    )
+
+    def split(count: int) -> _Chunks:
+        return split_collection(r_collection, count, strategy=strategy, order=order)
+
+    admission_notes: List[str] = []
+    if memory_budget is not None and n_records > 0:
+        chunks, num_chunks, concurrency, admission_notes = _admit_memory(
+            memory_budget,
+            split,
+            r_collection,
+            collection_footprint(s_collection),
+            concurrency,
+            num_chunks,
+            backend=backend,
+            allow_split=runlog is None,
+            index_shared=False if shards is not None else None,
+        )
+        for note in admission_notes:
+            warnings.warn(note, DegradedExecutionWarning, stacklevel=2)
+    else:
+        chunks = split(num_chunks)
     if not chunks:
-        report = JoinReport(workers=workers)
+        report = JoinReport(workers=concurrency)
         return ([], report) if return_report else []
     if runlog is None and checkpoint_dir is not None:
         manifest = RunManifest(
@@ -646,176 +684,120 @@ def parallel_join(
         )
         runlog = RunLog.create(checkpoint_dir, manifest, plan=faults)
 
+    chunk_sizes = [len(piece) for __, piece in chunks]
     if runlog is not None and len(completed) == len(chunks):
         # Every chunk already settled durably (e.g. resuming a COMPLETE
         # run): no index build, no dispatch — just merge the spills.
-        report = JoinReport(
-            chunks=[
-                ChunkReport(
-                    chunk=i,
-                    size=len(piece),
-                    attempts=[
-                        AttemptRecord(
-                            number=0, mode="checkpoint",
-                            outcome="resumed", duration=0.0,
-                        )
-                    ],
-                )
-                for i, (__, piece) in enumerate(chunks)
-            ],
-            workers=workers,
-            fault_plan=faults.describe() if faults is not None else None,
-            resumed_chunks=sorted(completed),
-            reexecuted_chunks=sorted(discarded),
-            checkpoint_dir=checkpoint_dir,
+        by_chunk: Dict[int, ChunkResult] = completed
+        report = start_report(chunk_sizes, concurrency, faults, completed)
+    else:
+        in_process = shards is None and (len(chunks) == 1 or concurrency == 1)
+        # Sharded nodes build their own index; everyone else shares ours.
+        shared_index = (
+            None
+            if shards is not None
+            else build_method_index(s_collection, method, backend, index)
         )
-        runlog.mark_complete()
-        resumed_out = _merge_chunks([completed[i] for i in range(len(chunks))], report)
-        return (resumed_out, report) if return_report else resumed_out
-
-    shared_index = (
-        None
-        if use_shards
-        else build_method_index(s_collection, method, backend, index)
-    )
-
-    in_process = not use_shards and (len(chunks) == 1 or workers == 1)
-    handle: Optional[SharedCSRHandle] = None
-    fork_token: Optional[int] = None
-    own_token = cancel is None
-    token = cancel
-    if token is None and (runlog is not None or deadline is not None):
-        token = CancelToken()
-    deadline_mark = deadline_at(deadline)
-    with contextlib.ExitStack() as scope:
-        if runlog is not None and token is not None:
-            # Durable runs turn SIGINT/SIGTERM into a graceful abort:
-            # settle-or-kill in-flight chunks, flush spills, write ABORTED.
-            scope.enter_context(signal_cancellation(token))
-        try:
-            primary_mode = "none"
-            payloads: Dict[str, Optional[_IndexPayload]] = {"none": None, "local": None}
-            if shared_index is not None:
-                payloads["pickle"] = ("pickle", shared_index)
+        handle: Optional[SharedCSRHandle] = None
+        fork_token: Optional[int] = None
+        own_token = cancel is None
+        token = cancel
+        if token is None and (runlog is not None or deadline is not None):
+            token = CancelToken()
+        deadline_mark = deadline_at(deadline)
+        with contextlib.ExitStack() as scope:
+            if runlog is not None and token is not None:
+                # Durable runs turn SIGINT/SIGTERM into a graceful abort:
+                # settle-or-kill in-flight chunks, flush spills, write ABORTED.
+                scope.enter_context(signal_cancellation(token))
+            try:
+                primary_mode = "shard" if shards is not None else "none"
+                payloads: Dict[str, Optional[_IndexPayload]] = {
+                    "none": None, "local": None,
+                }
+                if shared_index is not None:
+                    payloads["pickle"] = ("pickle", shared_index)
+                    if in_process:
+                        primary_mode = "direct"
+                        payloads["direct"] = ("direct", shared_index)
+                    elif backend != "python" and isinstance(
+                        shared_index, CSRInvertedIndex
+                    ):
+                        try:
+                            handle = shared_index.to_shared_memory()
+                            primary_mode = "shm"
+                            payloads["shm"] = ("shm", handle)
+                        except OSError:
+                            # No usable /dev/shm (containers with tiny or
+                            # absent shm mounts). Fall back to fork-inherited
+                            # copy-on-write pages, then to plain pickling.
+                            if multiprocessing.get_start_method() == "fork":
+                                fork_token = id(shared_index)
+                                _FORK_SHARED[fork_token] = shared_index
+                                primary_mode = "fork"
+                                payloads["fork"] = ("fork", fork_token)
+                            else:  # pragma: no cover - non-fork platforms only
+                                primary_mode = "pickle"
+                    else:
+                        primary_mode = "pickle"
+                if runlog is not None and handle is not None:
+                    # Persist the segment names: a hard driver kill leaks
+                    # them in /dev/shm, and resume reclaims exactly this list.
+                    runlog.record_segments([name for name, __, __ in handle.segments])
+                jobs = _ChunkJobs(
+                    chunks, s_collection, method, backend, payloads, extra, kwargs
+                )
+                on_result = None if runlog is None else functools.partial(_spill, runlog)
                 if in_process:
-                    primary_mode = "direct"
-                    payloads["direct"] = ("direct", shared_index)
-                elif backend != "python" and isinstance(
-                    shared_index, CSRInvertedIndex
-                ):
-                    try:
-                        handle = shared_index.to_shared_memory()
-                        primary_mode = "shm"
-                        payloads["shm"] = ("shm", handle)
-                    except OSError:
-                        # No usable /dev/shm (containers with tiny or absent
-                        # shm mounts). Fall back to fork-inherited copy-on-
-                        # write pages, then to plain pickling.
-                        if multiprocessing.get_start_method() == "fork":
-                            fork_token = id(shared_index)
-                            _FORK_SHARED[fork_token] = shared_index
-                            primary_mode = "fork"
-                            payloads["fork"] = ("fork", fork_token)
-                        else:  # pragma: no cover - non-fork platforms only
-                            primary_mode = "pickle"
+                    by_chunk, report = _run_in_process(
+                        jobs,
+                        primary_mode,
+                        completed=completed,
+                        on_result=on_result,
+                        cancel=token,
+                        deadline_mark=deadline_mark,
+                    )
                 else:
-                    primary_mode = "pickle"
-            if runlog is not None and handle is not None:
-                # Persist the segment names: a hard driver kill leaks them
-                # in /dev/shm, and resume reclaims exactly this list.
-                runlog.record_segments([name for name, __, __ in handle.segments])
-
-            def make_job(chunk_id: int, mode: str) -> Tuple[Any, ...]:
-                rid_map, piece = chunks[chunk_id]
-                if mode == "local":
-                    # Degradation terminus: in-process, pure-python backend,
-                    # method builds its own chunk-scoped structures. Slowest
-                    # path, fewest moving parts.
-                    return (rid_map, piece, s_collection, method, "python",
-                            None, extra, kwargs)
-                return (rid_map, piece, s_collection, method, backend,
-                        payloads[mode], extra, kwargs)
-
-            on_result = None if runlog is None else functools.partial(_spill, runlog)
-            if in_process:
-                results, report = _run_in_process(
-                    chunks,
-                    make_job,
-                    primary_mode,
-                    completed=completed,
-                    on_result=on_result,
-                    cancel=token,
-                    deadline_mark=deadline_mark,
-                )
-            elif shards is not None and policy is not None:
-                coordinator = ShardCoordinator(
-                    chunks=chunks,
-                    s_collection=s_collection,
-                    method=method,
-                    backend=backend,
-                    extra=extra,
-                    kwargs=kwargs,
-                    shards=shards,
-                    policy=policy,
-                    retries=retries,
-                    backoff=backoff,
-                    backoff_cap=backoff_cap,
-                    fallback=fallback,
-                    plan=faults,
-                    make_job=make_job,
-                    runner=_join_chunk,
-                    on_result=on_result,
-                    cancel=token,
-                    deadline_mark=deadline_mark,
-                    completed=completed,
-                )
-                by_chunk = coordinator.run()
-                with trace_span("shard.merge"):
-                    # Deterministic merge order — chunk id, not settle
-                    # order — keeps the pair set byte-identical to serial
-                    # however speculation and requeues shuffled the work.
-                    results = [by_chunk[i] for i in range(len(chunks))]
-                report = coordinator.report
-            else:
-                supervisor = Supervisor(
-                    num_chunks=len(chunks),
-                    make_job=make_job,
-                    runner=_join_chunk,
-                    primary_mode=primary_mode,
-                    workers=workers,
-                    retries=retries,
-                    task_timeout=task_timeout,
-                    backoff=backoff,
-                    backoff_cap=backoff_cap,
-                    fallback=fallback,
-                    plan=faults,
-                    chunk_sizes=[len(piece) for __, piece in chunks],
-                    on_result=on_result,
-                    cancel=token,
-                    deadline_at=deadline_mark,
-                    completed=completed,
-                )
-                by_chunk = supervisor.run()
-                results = [by_chunk[i] for i in range(len(chunks))]
-                report = supervisor.report
-        except BaseException as exc:
-            if runlog is not None:
-                runlog.mark_aborted(f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            if handle is not None:
-                handle.cleanup()
-            if fork_token is not None:
-                _FORK_SHARED.pop(fork_token, None)
-            if own_token and token is not None:
-                token.close()
+                    coordinator = Coordinator(
+                        jobs,
+                        _join_chunk,
+                        chunk_sizes,
+                        primary_mode,
+                        concurrency,
+                        policy=policy,
+                        retries=retries,
+                        task_timeout=task_timeout,
+                        backoff=backoff,
+                        backoff_cap=backoff_cap,
+                        fallback=fallback,
+                        plan=faults,
+                        on_result=on_result,
+                        cancel=token,
+                        deadline_mark=deadline_mark,
+                        completed=completed,
+                    )
+                    by_chunk = coordinator.run()
+                    report = coordinator.report
+            except BaseException as exc:
+                if runlog is not None:
+                    runlog.mark_aborted(f"{type(exc).__name__}: {exc}")
+                raise
+            finally:
+                if handle is not None:
+                    handle.cleanup()
+                if fork_token is not None:
+                    _FORK_SHARED.pop(fork_token, None)
+                if own_token and token is not None:
+                    token.close()
     report.degradations.extend(admission_notes)
     if runlog is not None:
         runlog.mark_complete()
         report.checkpoint_dir = checkpoint_dir
         report.reexecuted_chunks = sorted(discarded)
         report.degradations.extend(runlog.notes)
-    out = _merge_chunks(results, report)
+    # Chunk-id order, not settle order: the pair list is byte-identical to
+    # the serial join's however retries and speculation shuffled the work.
+    out = _merge_chunks([by_chunk[i] for i in range(len(chunks))], report)
     return (out, report) if return_report else out
 
 
@@ -846,14 +828,13 @@ def _merge_chunks(results: List[ChunkResult], report: JoinReport) -> List[Pair]:
 
 
 def _run_in_process(
-    chunks: List[Tuple[Union[int, List[int]], SetCollection]],
-    make_job: Any,
+    jobs: _ChunkJobs,
     primary_mode: str,
-    completed: Optional[Dict[int, ChunkResult]] = None,
+    completed: Dict[int, ChunkResult],
     on_result: Optional[Callable[[int, int, ChunkResult], None]] = None,
     cancel: Optional[CancelToken] = None,
     deadline_mark: Optional[float] = None,
-) -> Tuple[List[ChunkResult], JoinReport]:
+) -> Tuple[Dict[int, ChunkResult], JoinReport]:
     """The no-fork fast path, reported in the same shape as supervised runs.
 
     Honours the same durability contract as the supervised path: resumed
@@ -862,55 +843,26 @@ def _run_in_process(
     chunks (a cooperative abort cannot interrupt a chunk mid-join without
     a worker process to kill).
     """
-    completed = completed or {}
-    report = JoinReport(workers=1)
-    metrics = active_or_null()
-    results: List[ChunkResult] = []
+    n_chunks = len(jobs.chunks)
+    report = start_report(
+        [len(piece) for __, piece in jobs.chunks], 1, None, completed
+    )
+    results = dict(completed)
     start = time.perf_counter()
-    for chunk_id, (__, piece) in enumerate(chunks):
-        if chunk_id in completed:
-            results.append(completed[chunk_id])
-            report.chunks.append(
-                ChunkReport(
-                    chunk=chunk_id,
-                    size=len(piece),
-                    attempts=[
-                        AttemptRecord(
-                            number=0, mode="checkpoint",
-                            outcome="resumed", duration=0.0,
-                        )
-                    ],
-                )
-            )
-            report.resumed_chunks.append(chunk_id)
+    for chunk_id in range(n_chunks):
+        if chunk_id in results:
             continue
-        if cancel is not None and cancel.cancelled:
-            metrics.inc("supervisor.cancellations")
-            raise JoinCancelledError(
-                cancel.reason or "cancelled", chunk_id, len(chunks)
-            )
-        if deadline_mark is not None and time.monotonic() >= deadline_mark:
-            metrics.inc("supervisor.deadline_aborts")
-            raise DeadlineExceededError(
-                "overall deadline exceeded", chunk_id, len(chunks)
-            )
+        check_abort(cancel, deadline_mark, chunk_id, n_chunks)
         t0 = time.perf_counter()
-        result = _join_chunk(make_job(chunk_id, primary_mode))
-        results.append(result)
+        results[chunk_id] = _join_chunk(jobs(chunk_id, primary_mode))
         if on_result is not None:
-            on_result(chunk_id, 1, result)
-        report.chunks.append(
-            ChunkReport(
-                chunk=chunk_id,
-                size=len(piece),
-                attempts=[
-                    AttemptRecord(
-                        number=1,
-                        mode=primary_mode,
-                        outcome="ok",
-                        duration=time.perf_counter() - t0,
-                    )
-                ],
+            on_result(chunk_id, 1, results[chunk_id])
+        report.chunks[chunk_id].attempts.append(
+            AttemptRecord(
+                number=1,
+                mode=primary_mode,
+                outcome="ok",
+                duration=time.perf_counter() - t0,
             )
         )
     report.elapsed_seconds = time.perf_counter() - start

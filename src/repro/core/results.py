@@ -212,9 +212,11 @@ class AttemptRecord:
     ``mode`` is the index-payload path the attempt used — ``"shm"``,
     ``"fork"``, ``"pickle"``, ``"none"`` (no shared index), ``"direct"``
     (in-process fast path), ``"local"`` (the in-process degradation
-    fallback), ``"shard"`` (dispatched to a shard node, see
-    :mod:`repro.core.shard`) or ``"checkpoint"`` (the result was loaded
-    from a verified spill, not computed). ``outcome`` is ``"ok"``,
+    fallback), ``"shard"`` (any attempt of a sharded run, whose node
+    built its own index, see :mod:`repro.core.supervisor`) or
+    ``"checkpoint"`` (the result was loaded from a verified spill, not
+    computed). The first four are the payload paths of ``workers=``
+    runs. ``outcome`` is ``"ok"``,
     ``"error"`` (worker raised), ``"crash"`` (worker died without a
     result), ``"timeout"`` (killed at the ``task_timeout`` deadline),
     ``"resumed"`` (settled from the checkpoint with ``number=0`` and zero

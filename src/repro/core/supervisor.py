@@ -1,54 +1,83 @@
-"""Supervised task execution for the multiprocess join driver.
+"""Supervised chunk execution on long-lived worker nodes.
 
 :func:`repro.core.parallel.parallel_join` decomposes ``R ⋈⊆ S`` into
 independent chunk joins (``∪ᵢ Rᵢ ⋈⊆ S``), which makes every chunk
-*re-executable*: a worker that crashes, hangs, or raises can simply be run
-again without affecting any other chunk's result. This module is the layer
-that exploits that property. The bare ``multiprocessing.Pool`` it replaces
-had no failure model at all — a dead worker stalled ``map`` forever and a
-hung one poisoned the whole join.
+*re-executable*: an attempt that crashes, hangs, or raises can simply be
+run again without affecting any other chunk's result. This module is the
+one coordinator that exploits that property, for ``workers=`` and
+``shards=`` alike. It follows the processes-as-nodes model of the
+Filter-and-Verification-Tree MapReduce line of work: chunks are jobs sent
+to long-lived *nodes*, each a process that receives S, the index payload,
+the order and the chunk list once, when it is forked, and afterwards only
+``(chunk id, attempt, payload mode)`` per job.
 
-Each chunk becomes a tracked task with a lifecycle::
+Each chunk is a tracked task with a lifecycle::
 
     pending -> running -> ok
                  |-> error / crash / timeout -> backoff -> running (retry)
                                    |-> (retries exhausted) -> local fallback
 
-* **Detection.** Workers report through a one-way pipe; the supervisor
-  waits on the pipes, so a normal result, a raised exception, and a silent
-  death (EOF without a message, exit code captured) are all distinguished.
-  A ``task_timeout`` deadline catches hangs: the worker is terminated
-  (then killed) and the attempt is recorded as a timeout.
+* **Detection.** Nodes report over a duplex pipe and send heartbeats from
+  a background thread. The coordinator waits on every pipe, every process
+  sentinel and the cancel token at once. A raised exception (``error``),
+  a death (pipe EOF or the sentinel, exit code captured: ``crash``), a
+  run past ``task_timeout`` (the node is killed: ``timeout``) and
+  :attr:`ShardPolicy.heartbeat_miss_limit` missed heartbeats (a wedged
+  node, killed and recorded as a ``crash``) are all told apart.
 * **Retry.** Failed attempts are re-dispatched with capped exponential
-  backoff (``backoff * 2**(attempt-1)``, capped at ``backoff_cap``). Every
-  attempt is recorded in the :class:`~repro.core.results.JoinReport`.
+  backoff (``backoff * 2**(attempt-1)``, capped at ``backoff_cap``) on a
+  live node; a dead node is replaced by a fresh one. Every attempt is an
+  :class:`~repro.core.results.AttemptRecord` in the
+  :class:`~repro.core.results.JoinReport`. The first result to settle a
+  chunk wins; a duplicate's late result is dropped by chunk id.
 * **Degradation.** Failures classified as shared-memory attach errors
   (:class:`~repro.errors.ShmAttachError`) downgrade that chunk's payload
   from ``shm`` to ``pickle``; after ``SHM_FAILURE_THRESHOLD`` such failures
   the *whole run* downgrades — a segment that will not map twice will not
-  map ten times, so retries stop burning on it. A chunk that exhausts its
-  retries falls back to **in-process execution on the pure-python
-  backend** — strictly slower, but correct and isolated from whatever
-  killed the workers. Both downgrades emit
+  map ten times. A chunk that exhausts its retries falls back to
+  **in-process execution on the pure-python backend** — strictly slower,
+  but correct and isolated from whatever killed the nodes. Both emit
   :class:`~repro.errors.DegradedExecutionWarning` and are recorded in the
   report. With ``fallback=False`` the exhausted chunk raises
   :class:`~repro.errors.WorkerFailedError` (or its subclass
   :class:`~repro.errors.JoinTimeoutError` for a final timeout) instead.
 
-Fault injection (:mod:`repro.faults`) hooks into exactly two points of the
-worker entry — before the chunk join starts and before a shared-memory
-payload resolves — so the chaos suite can script crashes, hangs, raises,
-and attach failures per ``(chunk, attempt)`` deterministically.
+The mode (``workers=`` or ``shards=``, spelled ``primary_mode="shard"``)
+decides exactly three things:
+
+* **where a node's index comes from** — under ``workers=`` each job uses
+  the parent's shm, fork or pickle payload; under ``shards=`` each node
+  builds its own copy, so no memory is shared across nodes;
+* **straggler speculation** — only under ``shards=``: once
+  :attr:`ShardPolicy.speculation_quorum` chunks have settled, an attempt
+  in flight longer than ``max(speculation_min_seconds, speculation_factor
+  × quantile)`` without a ``task_timeout`` deadline gets one duplicate on
+  an idle node;
+* **the respawn cap** — only under ``shards=``: a node that dies on its
+  own (in its index build, idle, or at job pickup) is respawned with
+  backoff while :attr:`ShardPolicy.restart_budget` lasts, degrading to
+  fewer nodes once it is spent. A node that dies *running an attempt* is
+  that attempt's failure: the chunk's retries bound it, and it is replaced
+  at once in both modes, as a fresh process per attempt always was.
+
+Fault injection (:mod:`repro.faults`) hooks into the node at job pickup
+(the ``shard`` stage, sharded runs only), at attempt start (``crash``/
+``hang``/``raise``) and before a shared-memory payload resolves
+(``shmfail``), so the chaos suites can script failures per ``(chunk,
+attempt)`` or per node deterministically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     DeadlineExceededError,
@@ -59,13 +88,25 @@ from ..errors import (
     ShmAttachError,
     WorkerFailedError,
 )
-from ..faults import FaultPlan
+from ..faults import (
+    CRASH_EXIT_CODE,
+    DEFAULT_HANG_SECONDS,
+    DEFAULT_SLOW_SECONDS,
+    FaultPlan,
+)
 from ..obs.registry import active_or_null
 from ..obs.spans import trace_span
-from .results import AttemptRecord, ChunkReport, JoinReport
+from .results import AttemptRecord, ChunkReport, JoinReport, ShardReport
 from .runlog import CancelToken
 
-__all__ = ["Supervisor", "SHM_FAILURE_THRESHOLD", "interruptible_wait"]
+__all__ = [
+    "Coordinator",
+    "ShardPolicy",
+    "check_abort",
+    "SHM_FAILURE_THRESHOLD",
+    "interruptible_wait",
+    "start_report",
+]
 
 #: Attempt-outcome label -> counter name (see repro.obs.catalogue).
 _OUTCOME_COUNTERS = {
@@ -79,9 +120,10 @@ _OUTCOME_COUNTERS = {
 #: shared memory. Two distinct failures rule out a one-off racy unlink.
 SHM_FAILURE_THRESHOLD = 2
 
-#: Grace period between SIGTERM and SIGKILL for a worker past its deadline,
-#: and the join() allowance for a worker that already sent its result.
+#: Grace period between SIGTERM and SIGKILL when putting a node down, and
+#: the join() allowance for a node whose pipe already hit EOF.
 _KILL_GRACE = 1.0
+
 
 def interruptible_wait(
     timeout: float,
@@ -93,12 +135,10 @@ def interruptible_wait(
 
     A capped-backoff delay must never outlive the reasons to keep waiting:
     a cancellation (SIGINT/SIGTERM routed into the :class:`CancelToken`),
-    the run's absolute deadline, or any handle in ``extra`` becoming ready
-    (the shard coordinator passes live process sentinels here, so a shard
-    dying mid-backoff reschedules its work immediately). Anything with a
-    ``fileno()`` — tokens, pipe connections, raw sentinel fds — is a valid
-    ``extra`` entry. Falls back to a plain bounded sleep when there is
-    nothing to watch.
+    the run's absolute deadline, or any handle in ``extra`` becoming ready.
+    Anything with a ``fileno()`` — tokens, pipe connections, raw sentinel
+    fds — is a valid ``extra`` entry. Falls back to a plain bounded sleep
+    when there is nothing to watch.
     """
     if deadline_mark is not None:
         timeout = min(timeout, max(0.0, deadline_mark - time.monotonic()))
@@ -113,151 +153,356 @@ def interruptible_wait(
         time.sleep(timeout)
 
 
+@dataclass(frozen=True)
+class ShardPolicy:
+    """Tunable thresholds of the coordinator's robustness machinery.
+
+    The heartbeat fields apply to every run; speculation, the restart
+    budget and ``chunks_per_shard`` only to sharded ones. The defaults
+    suit real workloads (sub-second heartbeats, speculation only for
+    chunks 4× slower than the pack); the chaos tests shrink them to keep
+    wall-clock down. ``restart_budget=None`` allows one respawn per shard
+    — enough to absorb one hard failure per node without letting a
+    deterministic crasher respawn forever.
+    """
+
+    #: Seconds between a node's heartbeats (sent even during index build).
+    heartbeat_interval: float = 0.2
+    #: Consecutive missed intervals before a silent node is declared dead.
+    heartbeat_miss_limit: int = 10
+    #: Settled chunks required before the runtime quantile is trusted.
+    speculation_quorum: int = 3
+    #: A chunk is a straggler past ``factor × quantile`` seconds in flight.
+    speculation_factor: float = 4.0
+    #: ...but never before this many seconds, whatever the quantile says.
+    speculation_min_seconds: float = 1.0
+    #: Which runtime quantile anchors the straggler threshold.
+    speculation_quantile: float = 0.75
+    #: Dead-shard respawns allowed across the run (``None`` → one per shard).
+    restart_budget: Optional[int] = None
+    #: Fresh runs split R into ``shards × chunks_per_shard`` chunks, so a
+    #: dead shard requeues a slice of its work, not all of it.
+    chunks_per_shard: int = 4
+
+    def __post_init__(self) -> None:
+        if self.heartbeat_interval <= 0:
+            raise InvalidParameterError(
+                f"heartbeat_interval must be positive, got {self.heartbeat_interval}"
+            )
+        if self.heartbeat_miss_limit < 1:
+            raise InvalidParameterError(
+                f"heartbeat_miss_limit must be >= 1, got {self.heartbeat_miss_limit}"
+            )
+        if self.speculation_quorum < 1:
+            raise InvalidParameterError(
+                f"speculation_quorum must be >= 1, got {self.speculation_quorum}"
+            )
+        if self.speculation_factor <= 0 or self.speculation_min_seconds < 0:
+            raise InvalidParameterError(
+                "speculation_factor must be positive and "
+                "speculation_min_seconds non-negative"
+            )
+        if not 0.0 <= self.speculation_quantile <= 1.0:
+            raise InvalidParameterError(
+                f"speculation_quantile must be in [0, 1], "
+                f"got {self.speculation_quantile}"
+            )
+        if self.restart_budget is not None and self.restart_budget < 0:
+            raise InvalidParameterError(
+                f"restart_budget must be >= 0, got {self.restart_budget}"
+            )
+        if self.chunks_per_shard < 1:
+            raise InvalidParameterError(
+                f"chunks_per_shard must be >= 1, got {self.chunks_per_shard}"
+            )
+
+
 #: A job tuple as consumed by ``repro.core.parallel._join_chunk``.
 _Job = Tuple[Any, ...]
 #: Whatever the runner returns for a chunk; carried, never inspected.
 _Result = Any
 _Runner = Callable[[_Job], _Result]
-#: Builds the job for (chunk_id, mode); runs in the parent only.
-_JobFactory = Callable[[int, str], _Job]
+#: Builds the job for (chunk_id, mode). Under ``shards=`` it also offers
+#: ``with_local_index()``, which a node calls once to build its own index.
+_JobFactory = Any
 
 
-def _worker_main(
-    conn: Connection,
-    runner: _Runner,
-    chunk_id: int,
-    attempt: int,
-    mode: str,
+def start_report(
+    chunk_sizes: Sequence[int],
+    workers: int,
     plan: Optional[FaultPlan],
-    job: _Job,
-) -> None:
-    """Worker-process entry: run one chunk attempt, report on the pipe.
+    completed: Dict[int, _Result],
+) -> JoinReport:
+    """A fresh report whose ``completed`` chunks are already settled.
 
-    Every outcome funnels into exactly one message — ``("ok", pairs)`` or
-    ``("err", type_name, text, is_attach_failure)`` — or, for a crash, no
-    message at all (the parent reads EOF and the exit code). Fault rules
-    fire here, in the worker, so an injected crash takes down a real
-    process the same way a segfault would.
+    Chunks resumed from a checkpoint get a synthetic ``resumed`` attempt,
+    so the report's trail shows where their result came from.
     """
+    report = JoinReport(
+        chunks=[ChunkReport(chunk=i, size=size) for i, size in enumerate(chunk_sizes)],
+        workers=workers,
+        fault_plan=plan.describe() if plan is not None else None,
+        resumed_chunks=sorted(completed),
+    )
+    for chunk_id in completed:
+        report.chunks[chunk_id].attempts.append(
+            AttemptRecord(number=0, mode="checkpoint", outcome="resumed", duration=0.0)
+        )
+    return report
+
+
+def check_abort(
+    cancel: Optional[CancelToken],
+    deadline_mark: Optional[float],
+    settled: int,
+    total: int,
+) -> None:
+    """Raise the matching abort error once a cancel or the deadline lands.
+
+    Raised inside the coordinator's loop, the error routes through
+    ``run``'s ``finally``, so in-flight nodes are killed and their pipes
+    closed before it reaches the caller — no orphaned processes.
+    """
+    if cancel is not None and cancel.cancelled:
+        active_or_null().inc("supervisor.cancellations")
+        raise JoinCancelledError(cancel.reason or "cancelled", settled, total)
+    if deadline_mark is not None and time.monotonic() >= deadline_mark:
+        active_or_null().inc("supervisor.deadline_aborts")
+        raise DeadlineExceededError("overall deadline exceeded", settled, total)
+
+
+def _node_main(
+    conn: Connection,
+    node_id: int,
+    incarnation: int,
+    jobs: _JobFactory,
+    runner: _Runner,
+    plan: Optional[FaultPlan],
+    heartbeat_interval: float,
+    sharded: bool,
+) -> None:
+    """Node entry: (sharded: build an index, then) serve jobs until stopped.
+
+    The heartbeat thread starts *before* the index build so a node working
+    through a large S never looks dead. ``conn`` is shared between the job
+    loop and the heartbeat thread, so every send goes through one lock.
+    Each job announces ``("run", chunk, attempt)`` once the node starts the
+    attempt, then ends in exactly one ``("done", chunk, attempt, result)``
+    or ``("err", chunk, attempt, type, text, is_attach_failure)`` — or, for
+    a crash, in no message at all (the coordinator reads EOF and the exit
+    code). Fault rules fire here, so an injected crash takes down a real
+    process the same way a segfault would.
+
+    Orphan detection cannot rely on pipe EOF alone: under the fork start
+    method every later-spawned node inherits a copy of the coordinator-side
+    pipe ends, so a hard-killed coordinator leaves the pipe technically
+    open. The job loop therefore also waits on the parent's sentinel and
+    exits as soon as the coordinator is gone with nothing left buffered.
+    """
+    stop_beats = threading.Event()
+    beats_enabled = threading.Event()
+    beats_enabled.set()
+    send_lock = threading.Lock()
+
+    def send(message: Tuple[Any, ...]) -> None:
+        with send_lock:
+            conn.send(message)
+
+    def beat() -> None:
+        while not stop_beats.wait(heartbeat_interval):
+            if beats_enabled.is_set():
+                try:
+                    send(("hb",))
+                except OSError:
+                    return
+
+    threading.Thread(target=beat, daemon=True).start()
+    if sharded:
+        # Sharded runs share no memory across nodes: each builds its own.
+        jobs = jobs.with_local_index()
+    parent = multiprocessing.parent_process()
+    handles: List[Any] = [conn] if parent is None else [conn, parent.sentinel]
     try:
-        if plan is not None:
-            plan.fire_worker_start(chunk_id, attempt)
-            if mode == "shm":
-                plan.fire_attach(chunk_id, attempt)
-        result = runner(job)
-    except BaseException as exc:  # noqa: B036 - forwarded, not swallowed
-        try:
-            conn.send(
-                ("err", type(exc).__name__, str(exc), isinstance(exc, ShmAttachError))
+        while True:
+            if conn not in wait(handles):
+                return  # coordinator died with nothing buffered for us
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                return
+            if message[0] == "stop":
+                return
+            __, chunk_id, attempt, mode = message
+            rule = (
+                plan.rule_for_shard(node_id, incarnation, chunk_id)
+                if sharded and plan is not None
+                else None
             )
-        finally:
-            conn.close()
-        return
-    try:
-        conn.send(("ok", result))
+            if rule is not None:
+                if rule.action == "kill":
+                    os._exit(CRASH_EXIT_CODE)
+                elif rule.action == "hang":
+                    # A wedged node: heartbeats stop too, so only the
+                    # coordinator's miss detection can catch it.
+                    beats_enabled.clear()
+                    time.sleep(rule.arg if rule.arg is not None else DEFAULT_HANG_SECONDS)
+                    beats_enabled.set()
+                else:  # "slow" — a straggler that still heartbeats
+                    time.sleep(rule.arg if rule.arg is not None else DEFAULT_SLOW_SECONDS)
+            send(("run", chunk_id, attempt))
+            try:
+                if plan is not None:
+                    plan.fire_worker_start(chunk_id, attempt)
+                    if mode == "shm":
+                        plan.fire_attach(chunk_id, attempt)
+                reply = ("done", chunk_id, attempt, runner(jobs(chunk_id, mode)))
+            except BaseException as exc:  # noqa: B036 - forwarded, not swallowed
+                reply = (
+                    "err", chunk_id, attempt, type(exc).__name__, str(exc),
+                    isinstance(exc, ShmAttachError),
+                )
+            send(reply)
+    except OSError:
+        return  # the coordinator's end is gone
     finally:
-        conn.close()
+        stop_beats.set()
 
 
-@dataclass
-class _Task:
-    """Parent-side state of one chunk across its attempts."""
+class _Assignment:
+    """One dispatch of one chunk to one node incarnation."""
 
-    chunk_id: int
-    mode: str
-    attempts: int = 0
-    ready_at: float = 0.0
-    last_error: str = ""
-    last_outcome: str = ""
-
-
-class _Attempt:
-    """One in-flight worker process."""
-
-    __slots__ = ("task", "process", "conn", "started", "deadline")
+    __slots__ = ("chunk_id", "attempt", "mode", "node_id", "started",
+                 "speculative", "running", "deadline", "superseded")
 
     def __init__(
         self,
-        task: _Task,
-        process: multiprocessing.Process,
-        conn: Connection,
+        chunk_id: int,
+        attempt: int,
+        mode: str,
+        node_id: Optional[int],
         started: float,
-        deadline: Optional[float],
+        speculative: bool,
     ) -> None:
-        self.task = task
-        self.process = process
-        self.conn = conn
+        self.chunk_id = chunk_id
+        self.attempt = attempt
+        self.mode = mode
+        self.node_id = node_id
         self.started = started
-        self.deadline = deadline
+        self.speculative = speculative
+        #: Set when the node announces the attempt; a death after that is
+        #: the attempt's failure, not the node's own.
+        self.running = False
+        self.deadline: Optional[float] = None
+        self.superseded = False
 
 
-class Supervisor:
-    """Dispatch chunk joins as supervised, retryable worker tasks.
+class _ChunkState:
+    """Coordinator-side lifecycle of one chunk across nodes and attempts."""
+
+    __slots__ = ("chunk_id", "mode", "attempts", "ready_at", "inflight",
+                 "speculated", "last_error", "last_outcome")
+
+    def __init__(self, chunk_id: int, mode: str) -> None:
+        self.chunk_id = chunk_id
+        self.mode = mode
+        self.attempts = 0
+        self.ready_at = 0.0
+        self.inflight: List[_Assignment] = []
+        self.speculated = False
+        self.last_error = ""
+        self.last_outcome = ""
+
+
+class _Node:
+    """Parent-side handle of one node id across its incarnations."""
+
+    __slots__ = ("node_id", "process", "conn", "incarnation", "last_beat",
+                 "busy", "alive", "respawn_at", "charged", "report")
+
+    def __init__(self, node_id: int) -> None:
+        self.node_id = node_id
+        self.process: Optional[multiprocessing.Process] = None
+        self.conn: Optional[Connection] = None
+        self.incarnation = 0
+        self.last_beat = 0.0
+        self.busy: Optional[_Assignment] = None
+        self.alive = False
+        #: When a dead node may be replaced (``None``: never).
+        self.respawn_at: Optional[float] = None
+        #: Whether that replacement spends the restart budget.
+        self.charged = False
+        self.report = ShardReport(shard=node_id, incarnations=0)
+
+
+class Coordinator:
+    """Dispatch chunk joins to supervised, long-lived nodes.
 
     Parameters
     ----------
-    num_chunks:
-        How many chunk tasks to run (chunk ids ``0..num_chunks-1``).
-    make_job:
-        Parent-side factory producing the picklable job tuple for a chunk
-        in a given payload mode (``"shm"``/``"fork"``/``"pickle"``/
-        ``"none"``/``"local"``). Called again on downgrade, so the payload
-        can differ per attempt.
+    jobs:
+        Factory producing the job tuple for ``(chunk_id, mode)``. It
+        reaches each node once, at fork; a job message then carries only
+        the chunk id, attempt and payload mode. Called in the parent for
+        the ``local`` fallback.
     runner:
-        The chunk-join function executed in the worker (and in-process for
-        the ``local`` fallback).
+        The chunk-join function run on a node (and in-process for the
+        ``local`` fallback).
+    chunk_sizes:
+        Records per chunk (chunk ids ``0..len-1``), for the report.
     primary_mode:
-        The payload mode first attempts use. Only ``"shm"`` participates in
-        the attach-downgrade ladder.
-    workers:
-        Maximum concurrently running worker processes.
+        The payload mode first attempts use: ``"shm"``/``"fork"``/
+        ``"pickle"``/``"none"`` under ``workers=``, or ``"shard"`` for a
+        sharded run, whose nodes build their own index. Only ``"shm"``
+        takes part in the attach-downgrade ladder.
+    nodes:
+        Maximum concurrently live nodes.
+    policy:
+        Heartbeat, speculation and restart thresholds (:class:`ShardPolicy`).
     retries:
         Re-dispatches allowed per chunk after its first failure.
     task_timeout:
-        Per-attempt deadline in seconds (``None`` disables hang detection).
+        Per-attempt deadline in seconds, counted from the node starting
+        the attempt (``None`` disables it).
     backoff / backoff_cap:
-        Base and cap of the exponential retry delay.
+        Base and cap of the exponential retry (and respawn) delay.
     fallback:
         When ``True`` (default) an exhausted chunk runs in-process on the
         python backend; when ``False`` it raises.
     plan:
-        Optional :class:`~repro.faults.FaultPlan` shipped to workers.
+        Optional :class:`~repro.faults.FaultPlan` shipped to nodes.
     on_result:
         Called as ``on_result(chunk_id, attempt, result)`` the moment a
-        chunk settles ok (worker or fallback). The durable-run layer wires
-        this to ``RunLog.record_columns`` so results stream to disk as
-        they arrive instead of at join end.
+        chunk settles. The durable-run layer wires this to
+        ``RunLog.record_columns`` so results stream to disk as they arrive.
     cancel:
-        Optional :class:`~repro.core.runlog.CancelToken`. Its read fd joins
-        the dispatch loop's wait set; once cancelled the loop kills
-        in-flight workers and raises
-        :class:`~repro.errors.JoinCancelledError`.
-    deadline_at:
+        Optional :class:`~repro.core.runlog.CancelToken`; once cancelled,
+        in-flight nodes are killed and
+        :class:`~repro.errors.JoinCancelledError` is raised.
+    deadline_mark:
         Absolute ``time.monotonic()`` instant after which the run aborts
         with :class:`~repro.errors.DeadlineExceededError`.
     completed:
-        Chunk results already known (resumed from a checkpoint): seeded
-        into the result map, recorded in the report as ``resumed``
-        attempts, and never dispatched.
+        Chunk results already known (resumed from a checkpoint): recorded
+        as ``resumed`` attempts and never dispatched.
     """
 
     def __init__(
         self,
-        num_chunks: int,
-        make_job: _JobFactory,
+        jobs: _JobFactory,
         runner: _Runner,
+        chunk_sizes: Sequence[int],
         primary_mode: str,
-        workers: int,
+        nodes: int,
+        policy: Optional[ShardPolicy] = None,
         retries: int = 2,
         task_timeout: Optional[float] = None,
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
         fallback: bool = True,
         plan: Optional[FaultPlan] = None,
-        chunk_sizes: Optional[List[int]] = None,
         on_result: Optional[Callable[[int, int, _Result], None]] = None,
         cancel: Optional[CancelToken] = None,
-        deadline_at: Optional[float] = None,
+        deadline_mark: Optional[float] = None,
         completed: Optional[Dict[int, _Result]] = None,
     ) -> None:
         if retries < 0:
@@ -268,9 +513,9 @@ class Supervisor:
             )
         if backoff < 0:
             raise InvalidParameterError(f"backoff must be >= 0, got {backoff}")
-        self._make_job = make_job
+        self._jobs = jobs
         self._runner = runner
-        self._workers = workers
+        self._policy = policy if policy is not None else ShardPolicy()
         self._retries = retries
         self._task_timeout = task_timeout
         self._backoff = backoff
@@ -279,39 +524,29 @@ class Supervisor:
         self._plan = plan
         self._on_result = on_result
         self._cancel = cancel
-        self._deadline_at = deadline_at
+        self._deadline_mark = deadline_mark
+        self._sharded = primary_mode == "shard"
+        self._noun = "shard" if self._sharded else "worker"
         # Captured once: supervision events are rare (per attempt, not per
         # probe), so the null-registry indirection costs nothing measurable.
         self._metrics = active_or_null()
         self._mp = multiprocessing.get_context()
-        self._tasks = [_Task(chunk_id=i, mode=primary_mode) for i in range(num_chunks)]
-        self._running: List[_Attempt] = []
-        self._results: Dict[int, _Result] = {}
+        completed = completed or {}
+        self.report = start_report(chunk_sizes, nodes, plan, completed)
+        self._results: Dict[int, _Result] = dict(completed)
+        self._states = [_ChunkState(i, primary_mode) for i in range(len(chunk_sizes))]
+        self._pending = [s for s in self._states if s.chunk_id not in self._results]
+        self._nodes = [_Node(i) for i in range(min(nodes, len(self._pending)))]
+        self._durations: List[float] = []
+        budget = self._policy.restart_budget
+        self._restarts_left = budget if budget is not None else len(self._nodes)
         self._shm_failures = 0
         self._shm_disabled = primary_mode != "shm"
-        sizes = chunk_sizes if chunk_sizes is not None else [0] * num_chunks
-        self.report = JoinReport(
-            chunks=[ChunkReport(chunk=i, size=sizes[i]) for i in range(num_chunks)],
-            workers=workers,
-            fault_plan=plan.describe() if plan is not None else None,
-        )
-        for chunk_id, pairs in (completed or {}).items():
-            # Resumed chunks are settled before the loop starts: seeded into
-            # the result map so dispatch skips them, with a synthetic
-            # attempt record so the report's trail shows the provenance.
-            self._results[chunk_id] = pairs
-            self.report.chunks[chunk_id].attempts.append(
-                AttemptRecord(
-                    number=0, mode="checkpoint", outcome="resumed", duration=0.0
-                )
-            )
-            self.report.resumed_chunks.append(chunk_id)
-        self.report.resumed_chunks.sort()
 
     # -- public entry ------------------------------------------------------
 
     def run(self) -> Dict[int, _Result]:
-        """Execute every chunk to completion; returns results by chunk id.
+        """Drive every chunk to settlement; returns results by chunk id.
 
         Raises only when a chunk cannot be completed at all: fallback
         disabled, or the in-process fallback itself failing (a
@@ -321,140 +556,110 @@ class Supervisor:
         start = time.perf_counter()
         try:
             with trace_span("parallel.supervise"):
+                for node in self._nodes:
+                    self._spawn(node)
                 self._loop()
         finally:
-            self._reap_stragglers()
+            self._shutdown()
+            if self._sharded:
+                self.report.shards = [node.report for node in self._nodes]
             self.report.elapsed_seconds += time.perf_counter() - start
         return self._results
 
-    # -- event loop --------------------------------------------------------
+    # -- the event loop ----------------------------------------------------
 
-    def _check_abort(self) -> None:
-        """Raise the matching abort error once a cancel/deadline lands.
-
-        Raising from inside :meth:`_loop` routes through ``run``'s
-        ``finally``, so in-flight workers are killed and their pipes closed
-        before the error reaches the caller — "settle or kill" with no
-        orphaned processes.
-        """
-        if self._cancel is not None and self._cancel.cancelled:
-            self._metrics.inc("supervisor.cancellations")
-            raise JoinCancelledError(
-                self._cancel.reason or "cancelled",
-                len(self._results),
-                len(self._tasks),
-            )
-        if self._deadline_at is not None and time.monotonic() >= self._deadline_at:
-            self._metrics.inc("supervisor.deadline_aborts")
-            raise DeadlineExceededError(
-                "overall deadline exceeded", len(self._results), len(self._tasks)
-            )
+    def _done(self) -> bool:
+        return len(self._results) == len(self._states)
 
     def _loop(self) -> None:
-        pending = [t for t in self._tasks if t.chunk_id not in self._results]
-        while pending or self._running:
-            self._check_abort()
+        while not self._done():
+            check_abort(
+                self._cancel, self._deadline_mark, len(self._results), len(self._states)
+            )
             now = time.monotonic()
-            pending = self._launch_ready(pending, now)
-            timeout = self._next_wakeup(pending, time.monotonic())
-            handles: List[Any] = [a.conn for a in self._running]
-            handles.extend(a.process.sentinel for a in self._running)
+            # Drain before judging liveness: heartbeats that queued while
+            # the coordinator was busy (a spill, an in-process fallback)
+            # must count before a node is declared silent.
+            for node in self._nodes:
+                if node.alive:
+                    self._drain_node(node, now)
+            self._detect_dead(now)
+            self._respawn_ready(now)
+            self._dispatch_ready(now)
+            self._maybe_speculate(now)
+            if self._done():
+                return
+            handles: List[Any] = []
+            for node in self._nodes:
+                if node.alive and node.conn is not None and node.process is not None:
+                    handles.extend((node.conn, node.process.sentinel))
             if handles:
                 if self._cancel is not None:
                     handles.append(self._cancel)
-                wait(handles, timeout=timeout)
-            elif timeout is not None:
-                # Nothing in flight — everything pending sits in a capped
-                # retry backoff. The wait must still abort the moment a
-                # cancel or the deadline lands, not sleep the backoff out.
-                interruptible_wait(timeout, self._cancel, self._deadline_at)
-            self._check_abort()
-            for attempt in list(self._running):
-                outcome = self._poll(attempt)
-                if outcome is None:
-                    continue
-                self._running.remove(attempt)
-                retry = self._settle(attempt, outcome)
-                if retry is not None:
-                    pending.append(retry)
-
-    def _launch_ready(self, pending: List[_Task], now: float) -> List[_Task]:
-        still_pending: List[_Task] = []
-        for task in pending:
-            if len(self._running) >= self._workers or task.ready_at > now:
-                still_pending.append(task)
+                wait(handles, timeout=self._next_wakeup(now))
                 continue
-            self._spawn(task)
-        return still_pending
+            respawns = [n.respawn_at for n in self._nodes if n.respawn_at is not None]
+            if not respawns:
+                # Out of nodes and out of restart budget: finish in-process.
+                self._drain_remaining()
+                return
+            interruptible_wait(
+                max(0.0, min(respawns) - now), self._cancel, self._deadline_mark
+            )
 
-    def _next_wakeup(self, pending: List[_Task], now: float) -> Optional[float]:
-        marks: List[float] = [
-            a.deadline for a in self._running if a.deadline is not None
-        ]
-        if self._deadline_at is not None:
-            marks.append(self._deadline_at)
-        if len(self._running) < self._workers:
-            marks.extend(t.ready_at for t in pending if t.ready_at > now)
+    def _next_wakeup(self, now: float) -> Optional[float]:
+        window = self._policy.heartbeat_interval * self._policy.heartbeat_miss_limit
+        marks: List[float] = []
+        for node in self._nodes:
+            if node.alive:
+                marks.append(node.last_beat + window)
+                if node.busy is not None and node.busy.deadline is not None:
+                    marks.append(node.busy.deadline)
+            elif node.respawn_at is not None:
+                marks.append(node.respawn_at)
+        threshold = self._speculation_threshold()
+        if threshold is not None:
+            marks.extend(
+                a.started + threshold for a in self._speculation_candidates()
+            )
+        if any(node.alive and node.busy is None for node in self._nodes):
+            marks.extend(s.ready_at for s in self._pending if s.ready_at > now)
+        if self._deadline_mark is not None:
+            marks.append(self._deadline_mark)
         if not marks:
             return None
         return max(0.0, min(marks) - now)
 
-    def _spawn(self, task: _Task) -> None:
-        task.attempts += 1
-        job = self._make_job(task.chunk_id, task.mode)
-        recv_conn, send_conn = self._mp.Pipe(duplex=False)
+    # -- node lifecycle ----------------------------------------------------
+
+    def _spawn(self, node: _Node) -> None:
+        node.incarnation += 1
+        node.report.incarnations += 1
+        parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
-            target=_worker_main,
+            target=_node_main,
             args=(
-                send_conn,
+                child_conn,
+                node.node_id,
+                node.incarnation,
+                self._jobs,
                 self._runner,
-                task.chunk_id,
-                task.attempts,
-                task.mode,
                 self._plan,
-                job,
+                self._policy.heartbeat_interval,
+                self._sharded,
             ),
             daemon=True,
         )
         process.start()
-        # Drop the parent's copy of the write end: the read end then hits
-        # EOF the moment the worker dies, which is what turns a silent
-        # crash into a prompt wakeup instead of a stall.
-        send_conn.close()
-        started = time.monotonic()
-        deadline = (
-            started + self._task_timeout if self._task_timeout is not None else None
-        )
-        self._running.append(_Attempt(task, process, recv_conn, started, deadline))
-
-    # -- attempt completion ------------------------------------------------
-
-    def _poll(self, attempt: _Attempt) -> Optional[Tuple[str, Any]]:
-        """Classify a finished attempt, or ``None`` if still running.
-
-        Returns ``("ok", pairs)``, ``("err", (type, text, attach_flag))``,
-        ``("crash", exitcode)`` or ``("timeout", deadline_seconds)``.
-        """
-        if attempt.conn.poll():
-            try:
-                message = attempt.conn.recv()
-            except (EOFError, OSError):
-                message = None
-            attempt.process.join(_KILL_GRACE)
-            if message is not None and message[0] == "ok":
-                return ("ok", message[1])
-            if message is not None:
-                return ("err", tuple(message[1:]))
-            return ("crash", attempt.process.exitcode)
-        if not attempt.process.is_alive():
-            # Died without the pipe signalling (shouldn't happen with the
-            # write end closed, but sentinels are the belt to that brace).
-            attempt.process.join(_KILL_GRACE)
-            return ("crash", attempt.process.exitcode)
-        if attempt.deadline is not None and time.monotonic() >= attempt.deadline:
-            self._kill(attempt.process)
-            return ("timeout", self._task_timeout)
-        return None
+        # Drop the parent's copy of the child end: a dead node then turns
+        # into EOF on our end instead of a silent stall.
+        child_conn.close()
+        node.process = process
+        node.conn = parent_conn
+        node.busy = None
+        node.alive = True
+        node.respawn_at = None
+        node.last_beat = time.monotonic()
 
     def _kill(self, process: multiprocessing.Process) -> None:
         process.terminate()
@@ -463,78 +668,308 @@ class Supervisor:
             process.kill()
             process.join(_KILL_GRACE)
 
-    def _settle(
-        self, attempt: _Attempt, outcome: Tuple[str, Any]
-    ) -> Optional[_Task]:
-        """Record the attempt; return the task again if it must retry."""
-        task = attempt.task
-        kind, detail = outcome
-        duration = time.monotonic() - attempt.started
-        attempt.conn.close()
-        if kind == "ok":
-            self._record(task, "ok", duration)
-            self._results[task.chunk_id] = detail
-            if self._on_result is not None:
-                self._on_result(task.chunk_id, task.attempts, detail)
-            return None
-        attach_failed = False
-        if kind == "err":
-            type_name, text, attach_failed = detail
-            task.last_error = f"{type_name}: {text}"
-        elif kind == "crash":
-            task.last_error = f"worker died (exit code {detail})"
-        else:
-            task.last_error = f"worker exceeded task_timeout={detail}s"
-        task.last_outcome = "error" if kind == "err" else kind
-        # Record before any downgrade mutates task.mode: the report must
-        # show the mode the attempt actually ran under.
-        self._record(task, task.last_outcome, duration, task.last_error)
-        if attach_failed:
-            self._note_attach_failure(task)
-        if task.attempts <= self._retries:
-            self._metrics.inc("supervisor.retries")
-            delay = min(
-                self._backoff * (2 ** (task.attempts - 1)), self._backoff_cap
+    def _detect_dead(self, now: float) -> None:
+        window = self._policy.heartbeat_interval * self._policy.heartbeat_miss_limit
+        for node in self._nodes:
+            if not node.alive or node.process is None:
+                continue
+            busy = node.busy
+            if not node.process.is_alive():
+                self._on_death(node, now)
+            elif now - node.last_beat > window:
+                if self._sharded:
+                    self._metrics.inc("shard.heartbeat_misses")
+                node.report.heartbeat_misses += 1
+                self._on_death(
+                    node,
+                    now,
+                    f"{self._noun} {node.node_id} missed "
+                    f"{self._policy.heartbeat_miss_limit} heartbeats "
+                    "(hang suspected)",
+                )
+            elif busy is not None and busy.deadline is not None and now >= busy.deadline:
+                self._on_death(
+                    node,
+                    now,
+                    f"{self._noun} {node.node_id} exceeded "
+                    f"task_timeout={self._task_timeout}s",
+                    outcome="timeout",
+                )
+
+    def _on_death(
+        self,
+        node: _Node,
+        now: float,
+        cause: Optional[str] = None,
+        outcome: str = "crash",
+    ) -> None:
+        """A node is gone (or put down): settle, record, plan a replacement.
+
+        ``cause=None`` means it died by itself: it is reaped for its exit
+        code. Otherwise the coordinator kills it for ``cause``.
+        """
+        if not node.alive or node.process is None:
+            return
+        # Results sent just before death are still in the pipe; settling
+        # them beats re-executing their chunks. Marked dead first, so the
+        # drain's own EOF does not report the death a second time.
+        node.alive = False
+        self._drain_node(node, now)
+        process = node.process
+        if cause is None:
+            process.join(_KILL_GRACE)
+        if process.is_alive():
+            self._kill(process)
+        if cause is None:
+            cause = f"{self._noun} {node.node_id} died (exit code {process.exitcode})"
+        if node.conn is not None:
+            node.conn.close()
+            node.conn = None
+        assignment, node.busy = node.busy, None
+        node.report.deaths += 1
+        node.report.last_error = cause
+        node.charged = self._sharded and (assignment is None or not assignment.running)
+        if not node.charged:
+            node.respawn_at = now
+        elif self._restarts_left > 0:
+            node.respawn_at = now + min(
+                self._backoff * (2 ** (node.report.deaths - 1)), self._backoff_cap
             )
-            task.ready_at = time.monotonic() + delay
-            if self._shm_disabled and task.mode == "shm":
-                task.mode = "pickle"
-            return task
-        self._run_fallback(task)
-        return None
+        if (
+            assignment is None
+            or assignment.superseded
+            or assignment.chunk_id in self._results
+        ):
+            return
+        state = self._states[assignment.chunk_id]
+        state.inflight.remove(assignment)
+        self._record(assignment, outcome, now - assignment.started, cause)
+        self._chunk_failed(state, outcome, cause, now)
+
+    def _respawn_ready(self, now: float) -> None:
+        for node in self._nodes:
+            if self._done():
+                return
+            if node.alive or node.respawn_at is None or now < node.respawn_at:
+                continue
+            if node.charged:
+                if self._restarts_left == 0:
+                    node.respawn_at = None
+                    continue
+                self._restarts_left -= 1
+                self._metrics.inc("shard.restarts")
+                self.report.shard_restarts += 1
+                self._degrade(
+                    f"shard {node.node_id} died ({node.report.last_error}); "
+                    f"respawned as incarnation {node.incarnation + 1} "
+                    f"({self._restarts_left} restart(s) left)"
+                )
+            self._spawn(node)
+
+    # -- dispatch ----------------------------------------------------------
+
+    def _idle_nodes(self) -> List[_Node]:
+        return [n for n in self._nodes if n.alive and n.busy is None]
+
+    def _dispatch(
+        self, state: _ChunkState, node: _Node, now: float, speculative: bool
+    ) -> None:
+        state.attempts += 1
+        assignment = _Assignment(
+            state.chunk_id, state.attempts, state.mode, node.node_id, now, speculative
+        )
+        if self._sharded:
+            self._metrics.inc("shard.assigned")
+        if speculative:
+            state.speculated = True
+            self._metrics.inc("shard.speculated")
+            self.report.speculated_chunks.append(state.chunk_id)
+        state.inflight.append(assignment)
+        node.busy = assignment
+        try:
+            if node.conn is None:
+                raise BrokenPipeError("node connection closed")
+            node.conn.send(("job", state.chunk_id, state.attempts, state.mode))
+        except (OSError, ValueError):
+            # The node died between our liveness check and the send; the
+            # death handler requeues this very assignment.
+            self._on_death(
+                node, now, f"{self._noun} {node.node_id} pipe closed at dispatch"
+            )
+
+    def _dispatch_ready(self, now: float) -> None:
+        ready = [s for s in self._pending if s.ready_at <= now]
+        for state, node in zip(ready, self._idle_nodes()):
+            self._pending.remove(state)
+            self._dispatch(state, node, now, speculative=False)
+
+    def _speculation_candidates(self) -> List[_Assignment]:
+        """Lone in-flight attempts that speculation may duplicate.
+
+        An attempt under a ``task_timeout`` deadline is left to it: the
+        deadline already decides its fate.
+        """
+        return [
+            s.inflight[0]
+            for s in self._states
+            if not s.speculated
+            and len(s.inflight) == 1
+            and s.inflight[0].deadline is None
+        ]
+
+    def _maybe_speculate(self, now: float) -> None:
+        threshold = self._speculation_threshold()
+        if threshold is None:
+            return
+        for straggler in self._speculation_candidates():
+            if now - straggler.started < threshold:
+                continue
+            idle = self._idle_nodes()
+            if not idle:
+                return
+            self._dispatch(self._states[straggler.chunk_id], idle[0], now, speculative=True)
+
+    def _speculation_threshold(self) -> Optional[float]:
+        """Seconds in flight that make an attempt a straggler (sharded only)."""
+        if not self._sharded or len(self._durations) < self._policy.speculation_quorum:
+            return None
+        ordered = sorted(self._durations)
+        rank = min(
+            len(ordered) - 1,
+            int(self._policy.speculation_quantile * len(ordered)),
+        )
+        return max(
+            self._policy.speculation_min_seconds,
+            self._policy.speculation_factor * ordered[rank],
+        )
+
+    # -- settlement --------------------------------------------------------
 
     def _record(
-        self, task: _Task, outcome: str, duration: float, error: Optional[str] = None
+        self,
+        assignment: _Assignment,
+        outcome: str,
+        duration: float,
+        error: Optional[str] = None,
     ) -> None:
         self._metrics.inc("supervisor.attempts")
-        self._metrics.inc(_OUTCOME_COUNTERS[outcome])
-        self.report.chunks[task.chunk_id].attempts.append(
+        counter = _OUTCOME_COUNTERS.get(outcome)
+        if counter is not None:
+            self._metrics.inc(counter)
+        self.report.chunks[assignment.chunk_id].attempts.append(
             AttemptRecord(
-                number=task.attempts,
-                mode=task.mode,
+                number=assignment.attempt,
+                mode=assignment.mode,
                 outcome=outcome,
                 duration=duration,
                 error=error,
+                shard=assignment.node_id if self._sharded else None,
             )
         )
 
+    def _settle(
+        self, node: _Node, assignment: _Assignment, result: _Result, now: float
+    ) -> None:
+        state = self._states[assignment.chunk_id]
+        duration = now - assignment.started
+        self._durations.append(duration)
+        # First settle wins. Losing twins are superseded *now*, before the
+        # winner's record, so the chunk trail ends on its single "ok" and
+        # a late duplicate result is recognisably stale when it arrives.
+        for other in state.inflight:
+            if other is not assignment:
+                other.superseded = True
+                self._record(
+                    other, "superseded", now - other.started,
+                    "lost the first-settle-wins race",
+                )
+        state.inflight = []
+        self._record(assignment, "ok", duration)
+        self._results[state.chunk_id] = result
+        node.report.settled.append(state.chunk_id)
+        if self._sharded:
+            self._metrics.inc("shard.settled")
+        if assignment.speculative:
+            self._metrics.inc("shard.speculation_wins")
+            self.report.speculation_wins.append(state.chunk_id)
+        if self._on_result is not None:
+            self._on_result(state.chunk_id, assignment.attempt, result)
+
+    def _chunk_failed(
+        self, state: _ChunkState, outcome: str, error: str, now: float
+    ) -> None:
+        state.last_outcome = outcome
+        state.last_error = error
+        if state.inflight:
+            # A twin dispatch is still running; it may yet settle the chunk.
+            return
+        if state.attempts <= self._retries:
+            self._metrics.inc("supervisor.retries")
+            state.ready_at = now + min(
+                self._backoff * (2 ** (state.attempts - 1)), self._backoff_cap
+            )
+            if self._shm_disabled and state.mode == "shm":
+                state.mode = "pickle"
+            self._pending.append(state)
+        else:
+            self._fallback_chunk(state)
+
+    def _fallback_chunk(self, state: _ChunkState) -> None:
+        if not self._fallback:
+            exc_cls = (
+                JoinTimeoutError if state.last_outcome == "timeout" else WorkerFailedError
+            )
+            raise exc_cls(state.chunk_id, state.attempts, state.last_error)
+        self._degrade(
+            f"chunk {state.chunk_id}: {state.attempts} {self._noun} attempt(s) "
+            f"failed ({state.last_error}); falling back to in-process python "
+            "execution"
+        )
+        self._metrics.inc("supervisor.fallbacks")
+        state.attempts += 1
+        local = _Assignment(
+            state.chunk_id, state.attempts, "local", None, time.monotonic(), False
+        )
+        try:
+            result = self._runner(self._jobs(state.chunk_id, "local"))
+        except BaseException:
+            self._record(
+                local, "error", time.monotonic() - local.started, state.last_error
+            )
+            raise
+        self._record(local, "ok", time.monotonic() - local.started)
+        self._results[state.chunk_id] = result
+        if self._on_result is not None:
+            self._on_result(state.chunk_id, state.attempts, result)
+
+    def _drain_remaining(self) -> None:
+        """Every node is gone for good: finish the leftovers in-process."""
+        self._pending = []
+        for state in self._states:
+            if state.chunk_id in self._results:
+                continue
+            if not state.last_error:
+                state.last_error = f"no live {self._noun}s remain"
+            state.inflight = []
+            self._fallback_chunk(state)
+
     # -- degradation ladder ------------------------------------------------
 
-    def _note_attach_failure(self, task: _Task) -> None:
+    def _note_attach_failure(self, state: _ChunkState) -> None:
         self._shm_failures += 1
-        if task.mode == "shm":
+        if state.mode == "shm":
             self._degrade(
-                f"chunk {task.chunk_id}: shm attach failed, payload "
+                f"chunk {state.chunk_id}: shm attach failed, payload "
                 "downgraded to pickle"
             )
-            task.mode = "pickle"
+            state.mode = "pickle"
         if not self._shm_disabled and self._shm_failures >= SHM_FAILURE_THRESHOLD:
             self._shm_disabled = True
             self._degrade(
                 f"{self._shm_failures} shm attach failures: run downgraded "
                 "to the pickle payload path"
             )
-            for other in self._tasks:
+            for other in self._states:
                 if other.mode == "shm" and other.chunk_id not in self._results:
                     other.mode = "pickle"
 
@@ -543,38 +978,71 @@ class Supervisor:
         self.report.degradations.append(note)
         warnings.warn(note, DegradedExecutionWarning, stacklevel=2)
 
-    def _run_fallback(self, task: _Task) -> None:
-        if not self._fallback:
-            exc_cls = (
-                JoinTimeoutError if task.last_outcome == "timeout" else WorkerFailedError
-            )
-            raise exc_cls(task.chunk_id, task.attempts, task.last_error)
-        self._degrade(
-            f"chunk {task.chunk_id}: {task.attempts} worker attempt(s) failed "
-            f"({task.last_error}); falling back to in-process python execution"
-        )
-        self._metrics.inc("supervisor.fallbacks")
-        task.mode = "local"
-        task.attempts += 1
-        started = time.monotonic()
-        try:
-            result = self._runner(self._make_job(task.chunk_id, "local"))
-        except BaseException:
-            self._record(
-                task, "error", time.monotonic() - started, task.last_error
-            )
-            raise
-        self._record(task, "ok", time.monotonic() - started)
-        self._results[task.chunk_id] = result
-        if self._on_result is not None:
-            self._on_result(task.chunk_id, task.attempts, result)
+    # -- message pump ------------------------------------------------------
+
+    def _drain_node(self, node: _Node, now: float) -> None:
+        while node.conn is not None:
+            try:
+                if not node.conn.poll(0):
+                    return
+                message = node.conn.recv()
+            except (EOFError, OSError):
+                self._on_death(node, now)
+                return
+            node.last_beat = now
+            kind, assignment = message[0], node.busy
+            if (
+                kind == "hb"
+                or assignment is None
+                or message[1:3] != (assignment.chunk_id, assignment.attempt)
+            ):
+                continue
+            if kind == "run":
+                assignment.running = True
+                if self._task_timeout is not None:
+                    assignment.deadline = time.monotonic() + self._task_timeout
+                continue
+            node.busy = None
+            if assignment.superseded or assignment.chunk_id in self._results:
+                # The stale twin finally reported; its result is discarded
+                # (dedup by chunk id) and the node goes back to the pool.
+                continue
+            if kind == "done":
+                self._settle(node, assignment, message[3], now)
+                continue
+            type_name, text, attach_failed = message[3:]
+            error = f"{type_name}: {text}"
+            state = self._states[assignment.chunk_id]
+            state.inflight.remove(assignment)
+            # Record before any downgrade mutates state.mode: the report
+            # shows the mode the attempt actually ran under.
+            self._record(assignment, "error", now - assignment.started, error)
+            if attach_failed:
+                self._note_attach_failure(state)
+            self._chunk_failed(state, "error", error, now)
 
     # -- teardown ----------------------------------------------------------
 
-    def _reap_stragglers(self) -> None:
-        """Abort path: no worker process or pipe may outlive the join."""
-        for attempt in self._running:
-            if attempt.process.is_alive():
-                self._kill(attempt.process)
-            attempt.conn.close()
-        self._running = []
+    def _shutdown(self) -> None:
+        """No node, pipe, or in-flight duplicate may outlive the join."""
+        for node in self._nodes:
+            if node.conn is not None and node.busy is None:
+                # Idle nodes get a polite stop; busy ones (stale twins,
+                # hung attempts) would not read it, so they are killed.
+                with contextlib.suppress(OSError):
+                    node.conn.send(("stop",))
+        for node in self._nodes:
+            if node.process is not None and node.process.is_alive():
+                if node.busy is None:
+                    node.process.join(_KILL_GRACE)
+                if node.process.is_alive():
+                    self._kill(node.process)
+            if node.conn is not None:
+                node.conn.close()
+                node.conn = None
+            # Release the handle now, not when the coordinator is dropped:
+            # its finalizer allocates, and after the caller's pair merge
+            # (built with the collector paused) the first allocation pays
+            # for collecting every new pair tuple.
+            node.process = None
+            node.alive = False

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the supervised parallel join.
 
-The supervisor in :mod:`repro.core.supervisor` is only trustworthy if its
+The coordinator in :mod:`repro.core.supervisor` is only trustworthy if its
 failure handling is *tested* — and worker crashes, hangs, and shared-memory
 attach failures do not happen on demand. This module makes them happen on
 demand, deterministically: a :class:`FaultPlan` is a list of rules keyed on
@@ -21,7 +21,7 @@ defined points of the worker lifecycle:
   (what a torn write looks like after a power cut), and ``diskfull`` makes
   the spill raise ``ENOSPC`` (checkpointing degrades to off; the join
   itself continues);
-* **shard** — in a shard node (:mod:`repro.core.shard`), as it picks up a
+* **shard** — in a sharded run's node (:mod:`repro.core.supervisor`), as it picks up a
   job: ``kill`` hard-exits the whole node (the coordinator sees EOF plus
   the exit code — a dead machine), ``hang`` stops the node's heartbeats
   and sleeps (a live-but-wedged machine, caught only by heartbeat-miss
@@ -113,7 +113,7 @@ ACTIONS = ("crash", "hang", "raise", "shmfail", "driverkill", "diskfull", "torn"
 CHECKPOINT_ACTIONS = ("driverkill", "diskfull", "torn")
 
 #: Actions legal on the ``shard`` stage — they target a whole shard node
-#: (:mod:`repro.core.shard`), not one chunk attempt.
+#: of a sharded run (:mod:`repro.core.supervisor`), not one chunk attempt.
 SHARD_ACTIONS = ("kill", "hang", "slow")
 
 #: Actions legal on the ``serve`` stage — they target the resident join
@@ -382,7 +382,7 @@ class FaultPlan:
         Like :meth:`rule_for_checkpoint` this returns the rule instead of
         applying it — ``hang`` must first silence the node's heartbeat
         thread and ``kill`` must take down the whole process, so
-        :mod:`repro.core.shard` interprets the action at the exact protocol
+        :mod:`repro.core.supervisor` interprets the action at the exact protocol
         point each one models. A ``kill`` rule with an ``arg`` fires only
         while ``incarnation <= arg``, so ``shard:0:kill=1`` kills the first
         incarnation and lets the respawn live (the restart-recovery test

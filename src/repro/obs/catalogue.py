@@ -31,9 +31,7 @@ SPAN_CATALOGUE = frozenset(
         "tree.build",  # prefix tree construction on R
         "tree.traverse",  # Algorithm 2: repeated postorder traversals
         "probe.loop",  # the cross-cutting probe loop over R's records
-        "parallel.supervise",  # the supervisor's dispatch/retry event loop
-        "shard.dispatch",  # the shard coordinator's assign/heartbeat/respawn loop
-        "shard.merge",  # merging settled shard results in chunk-id order
+        "parallel.supervise",  # the coordinator's dispatch/heartbeat/retry loop
         "checkpoint.write",  # one durable chunk spill (temp → fsync → rename)
         "checkpoint.resume",  # scanning/validating spills on a resumed run
         "pubsub.rebuild",  # broker subscription-tree rebuild (compaction)
@@ -92,7 +90,7 @@ COUNTER_CATALOGUE = {
     "tree.nodes": "prefix-tree nodes bound for traversal",
     "tree.rounds": "postorder traversal rounds",
     "tree.searches": "bisect probes issued by traversals",
-    # -- supervisor.*: the fault-tolerant parallel driver --
+    # -- supervisor.*: the fault-tolerant coordinator (workers= and shards=) --
     "supervisor.attempts": "chunk attempts dispatched (including retries)",
     "supervisor.retries": "re-dispatches after a failed attempt",
     "supervisor.ok": "attempts that returned a result",
@@ -105,7 +103,7 @@ COUNTER_CATALOGUE = {
     "supervisor.deadline_aborts": "runs aborted at the overall deadline",
     "supervisor.memory_splits": "admission-control chunk-split decisions",
     "supervisor.memory_caps": "admission-control worker-cap decisions",
-    # -- shard.*: the scale-out coordinator --
+    # -- shard.*: the coordinator's sharded runs only (shards=) --
     "shard.assigned": "chunk dispatches sent to shard nodes (incl. duplicates)",
     "shard.settled": "chunks settled by a shard result (first settle wins)",
     "shard.speculated": "speculative duplicate dispatches issued for stragglers",

@@ -25,7 +25,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.api import set_containment_join
-from repro.core.parallel import parallel_join
+from repro.core.parallel import (
+    _CHUNK_FIXED_BYTES,
+    _PY_BYTES_PER_ENTRY,
+    parallel_join,
+)
 from repro.core.runlog import (
     ABORTED_NAME,
     COMPLETE_NAME,
@@ -47,6 +51,7 @@ from repro.errors import (
     ResumeMismatchError,
 )
 from repro.faults import CRASH_EXIT_CODE, FaultPlan
+from repro.memory.meter import collection_footprint
 from repro.obs.registry import MetricsRegistry, use_registry
 
 from conftest import random_instance
@@ -579,6 +584,26 @@ class TestMemoryBudget:
             reg.counters.get("supervisor.memory_splits", 0)
             + reg.counters.get("supervisor.memory_caps", 0)
         ) >= 1
+
+    def test_budget_prices_the_largest_anchor_chunk(self):
+        # The anchor split keeps partitions whole, so its chunks balance
+        # records, not entries: here one chunk holds 27 entries where the
+        # mean is 18. A budget that fits two workers holding mean-sized
+        # chunks must not admit two workers holding the real largest one.
+        r = SetCollection([list(range(10, 18))] * 3 + [[1, 2]] * 3)
+        entries = collection_footprint(r)
+        mean_worker = (
+            entries * _PY_BYTES_PER_ENTRY  # each worker's own python index
+            + -(-entries // 2) * _PY_BYTES_PER_ENTRY
+            + _CHUNK_FIXED_BYTES
+        )
+        with pytest.warns(DegradedExecutionWarning, match="memory budget"):
+            pairs, report = parallel_join(
+                r, r, method="lcjoin", workers=2,
+                memory_budget=2 * mean_worker, return_report=True,
+            )
+        assert sorted(pairs) == sorted(set_containment_join(r, r, method="lcjoin"))
+        assert any("memory budget" in note for note in report.degradations)
 
 
 # -- parameter validation ---------------------------------------------------

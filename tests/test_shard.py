@@ -1,4 +1,4 @@
-"""Tests for the sharded scale-out coordinator (``repro.core.shard``).
+"""Tests for sharded runs of the coordinator (``repro.core.supervisor``).
 
 Covers the shard stage of the fault grammar, exact-result equivalence of
 sharded runs, the robustness machinery under injected chaos — whole-shard
@@ -19,8 +19,7 @@ import pytest
 from repro.core.api import set_containment_join
 from repro.core.parallel import parallel_join
 from repro.core.runlog import CancelToken, RunLog
-from repro.core.shard import ShardPolicy
-from repro.core.supervisor import interruptible_wait
+from repro.core.supervisor import ShardPolicy, interruptible_wait
 from repro.data.collection import SetCollection
 from repro.errors import (
     DegradedExecutionWarning,

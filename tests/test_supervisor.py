@@ -2,9 +2,11 @@
 
 Every test drives real worker processes through ``parallel_join`` with a
 deterministic :class:`repro.faults.FaultPlan` and asserts the three
-supervisor guarantees: the pair set stays identical to the serial join, no
+coordinator guarantees: the pair set stays identical to the serial join, no
 shared-memory segment outlives the call, and the :class:`JoinReport`
-faithfully records what happened (retries, downgrades, fallbacks).
+faithfully records what happened (retries, downgrades, fallbacks). The
+failure-model tests run once per dispatch mode (``workers=`` and
+``shards=``): both go through the same coordinator and retry path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from repro.core.api import set_containment_join
 from repro.core.parallel import parallel_join
 from repro.core.results import JoinReport
-from repro.core.supervisor import SHM_FAILURE_THRESHOLD, Supervisor
+from repro.core.supervisor import SHM_FAILURE_THRESHOLD, Coordinator
 from repro.core.verify import ground_truth
 from repro.errors import (
     DegradedExecutionWarning,
@@ -42,6 +44,11 @@ fork_only = pytest.mark.skipif(
 )
 
 _SHM_DIR = Path("/dev/shm")
+
+#: The two dispatch modes of the one coordinator.
+both_modes = pytest.mark.parametrize(
+    "mode", [{"workers": 2}, {"shards": 2}], ids=["workers", "shards"]
+)
 
 
 def _shm_entries() -> set:
@@ -170,7 +177,8 @@ class TestFaultPlanDecisions:
 
 @fork_only
 class TestChaosAcceptance:
-    def test_crash_every_chunk_once_plus_hang(self, shm_leak_check):
+    @both_modes
+    def test_crash_every_chunk_once_plus_hang(self, mode, shm_leak_check):
         # Every chunk's first attempt crashes hard; chunk 0's second
         # attempt hangs past task_timeout. With the default retries=2 the
         # worst chunk's history is crash -> timeout -> ok, and the final
@@ -181,8 +189,8 @@ class TestChaosAcceptance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a clean recovery: no degradation
             pairs, report = parallel_join(
-                r, s, method="framework", workers=3, backend="csr",
-                task_timeout=2.0, faults=plan, return_report=True,
+                r, s, method="framework", backend="csr",
+                task_timeout=2.0, faults=plan, return_report=True, **mode,
             )
         assert sorted(pairs) == expected
         assert report.ok
@@ -198,12 +206,13 @@ class TestChaosAcceptance:
         assert f"exit code {CRASH_EXIT_CODE}" in report.chunk(0).attempts[0].error
         assert report.fault_plan == plan.describe()
 
-    def test_raise_fault_is_retried(self, shm_leak_check):
+    @both_modes
+    def test_raise_fault_is_retried(self, mode, shm_leak_check):
         r, s = random_instance(22)
         expected = sorted(set_containment_join(r, s, method="framework"))
         pairs, report = parallel_join(
-            r, s, method="framework", workers=2, backend="csr",
-            faults=FaultPlan.parse("*:1:raise"), return_report=True,
+            r, s, method="framework", backend="csr",
+            faults=FaultPlan.parse("*:1:raise"), return_report=True, **mode,
         )
         assert sorted(pairs) == expected
         for c in report.chunks:
@@ -238,16 +247,17 @@ class TestDegradation:
         assert report.total_retries >= SHM_FAILURE_THRESHOLD
         assert any("run downgraded" in note for note in report.degradations)
 
-    def test_retry_exhaustion_falls_back_in_process(self, shm_leak_check):
+    @both_modes
+    def test_retry_exhaustion_falls_back_in_process(self, mode, shm_leak_check):
         # raise on every attempt: workers never succeed, every chunk lands
         # on the in-process python fallback — slower, but correct.
         r, s = random_instance(24)
         expected = sorted(set_containment_join(r, s, method="framework"))
         with pytest.warns(DegradedExecutionWarning):
             pairs, report = parallel_join(
-                r, s, method="framework", workers=2, backend="csr",
+                r, s, method="framework", backend="csr",
                 retries=1, faults=FaultPlan.parse("*:*:raise"),
-                return_report=True,
+                return_report=True, **mode,
             )
         assert sorted(pairs) == expected
         assert report.ok
@@ -259,24 +269,28 @@ class TestDegradation:
             assert len(c.attempts) == 3
         assert any("in-process" in note for note in report.degradations)
 
-    def test_fallback_disabled_raises_worker_failed(self, shm_leak_check):
+    @both_modes
+    def test_fallback_disabled_raises_worker_failed(self, mode, shm_leak_check):
         r, s = random_instance(25)
         with pytest.raises(WorkerFailedError) as excinfo:
             parallel_join(
-                r, s, method="framework", workers=2, backend="csr",
+                r, s, method="framework", backend="csr",
                 retries=0, fallback=False,
-                faults=FaultPlan.parse("*:*:crash"),
+                faults=FaultPlan.parse("*:*:crash"), **mode,
             )
         assert "failed after 1 attempt(s)" in str(excinfo.value)
         assert f"exit code {CRASH_EXIT_CODE}" in str(excinfo.value)
 
-    def test_fallback_disabled_timeout_raises_join_timeout(self, shm_leak_check):
+    @both_modes
+    def test_fallback_disabled_timeout_raises_join_timeout(
+        self, mode, shm_leak_check
+    ):
         r, s = random_instance(26)
         with pytest.raises(JoinTimeoutError):
             parallel_join(
-                r, s, method="framework", workers=2, backend="csr",
+                r, s, method="framework", backend="csr",
                 retries=0, fallback=False, task_timeout=0.5,
-                faults=FaultPlan.parse("*:*:hang=60"),
+                faults=FaultPlan.parse("*:*:hang=60"), **mode,
             )
 
 
@@ -366,7 +380,7 @@ class TestActivation:
         assert "shm:crash -> shm:ok" in text
 
 
-# -- supervisor unit-level validation -------------------------------------
+# -- coordinator unit-level validation ------------------------------------
 
 
 def _echo_runner(job):
@@ -374,32 +388,30 @@ def _echo_runner(job):
     return [(chunk_id, chunk_id)]
 
 
+def _echo_jobs(chunk_id, mode):
+    return (chunk_id,)
+
+
 class TestSupervisorUnit:
     def test_invalid_parameters(self):
-        def make_job(chunk_id, mode):
-            return (chunk_id,)
-
         for bad in (
             {"retries": -1},
             {"task_timeout": -2.0},
             {"backoff": -0.5},
         ):
             with pytest.raises(InvalidParameterError):
-                Supervisor(
-                    num_chunks=1, make_job=make_job, runner=_echo_runner,
-                    primary_mode="none", workers=1, **bad,
+                Coordinator(
+                    _echo_jobs, _echo_runner, chunk_sizes=[1],
+                    primary_mode="none", nodes=1, **bad,
                 )
 
     @fork_only
     def test_plain_run_collects_all_chunks(self):
-        def make_job(chunk_id, mode):
-            return (chunk_id,)
-
-        sup = Supervisor(
-            num_chunks=3, make_job=make_job, runner=_echo_runner,
-            primary_mode="none", workers=2,
+        coordinator = Coordinator(
+            _echo_jobs, _echo_runner, chunk_sizes=[1, 1, 1],
+            primary_mode="none", nodes=2,
         )
-        results = sup.run()
+        results = coordinator.run()
         assert results == {0: [(0, 0)], 1: [(1, 1)], 2: [(2, 2)]}
-        assert sup.report.ok
-        assert sup.report.total_attempts == 3
+        assert coordinator.report.ok
+        assert coordinator.report.total_attempts == 3
