@@ -5,29 +5,18 @@ split ``R = R₁ ∪ R₂``, ``R ⋈⊆ S = (R₁ ⋈⊆ S) ∪ (R₂ ⋈⊆ S)`
 splits ``R``, joins each chunk against ``S`` in a worker process with any
 registered method, and remaps the chunk-local rids back to the original ids.
 
-All workers join against the *same* ``S``, so the expensive superset-side
-structures are built **once in the parent** and distributed instead of being
-rebuilt per worker:
-
-* ``backend="csr"`` / ``backend="hybrid"`` — the array index
-  (:class:`~repro.index.storage.CSRInvertedIndex` or its bitmap-carrying
-  :class:`~repro.index.storage.HybridInvertedIndex` subclass) is exported
-  to ``multiprocessing.shared_memory``; every worker attaches the same
-  physical pages (zero-copy, constant cost per worker regardless of index
-  size). When shared memory is unavailable the index rides along
-  fork-inherited buffers, and as a last resort it is pickled into the
-  jobs. The partitioned methods build *local* indexes per partition, so
-  they ship the python index whatever the backend and repack in-worker.
-* ``backend="python"`` — the :class:`~repro.index.inverted.InvertedIndex`
-  (and, for the tree/partition methods, the frequency
-  :class:`~repro.core.order.GlobalOrder`) is built once and pickled into
-  each job. Measured on the AOL surrogate at scale 0.002 (73k sets, 183k
-  postings): one parent-side build 29 ms + 11 ms ``dumps``, then ~31 ms
-  ``loads`` per worker — per-worker cost comparable to a rebuild in pure
-  wall-clock, but the build work is paid once instead of ``workers``
-  times, the ``order`` rebuild (a full frequency count) *is* eliminated
-  per worker, and the pickle blob (0.6 MB here) ships over the same pipe
-  the job already uses. The CSR path above removes even that copy.
+All workers join against the *same* ``S``, so the superset-side index —
+and, for the tree/partition methods, the frequency
+:class:`~repro.core.order.GlobalOrder` — is built **once in the parent**
+(:func:`build_method_index`) and travels to every worker node inside the
+job factory the node receives when it starts. Under the fork start method
+that is copy-on-write memory: no copy, no pickling. Elsewhere the factory
+is pickled once per node, never per job. The array-probing methods get
+the array index (:class:`~repro.index.storage.CSRInvertedIndex` or its
+bitmap-carrying :class:`~repro.index.storage.HybridInvertedIndex`
+subclass); the partitioned methods build *local* indexes per partition,
+so they take the python :class:`~repro.index.inverted.InvertedIndex`
+whatever the backend and repack in-worker.
 
 Chunking follows the paper's partitioning (§V) for the four methods that
 run over the global order (``tree``, ``tree_et``, ``all_partition``,
@@ -55,11 +44,10 @@ once, in chunk-id order, with one ``zip`` over ``tolist()`` columns.
 Since the chunks are independently re-executable, failures are
 recoverable: dispatch runs through :class:`~repro.core.supervisor
 .Coordinator` in both ``workers=`` and ``shards=`` mode. Its long-lived
-nodes receive S, the index payload, the order and the chunk list once,
-when they are forked, and then one small job message per attempt. It
-detects crashed, hung and wedged nodes, retries chunks with capped
-exponential backoff (``retries=``, ``task_timeout=``, ``backoff=``),
-downgrades the payload path when shared memory misbehaves, and — after
+nodes receive S, the index, the order and the chunk list once, when
+they are forked, and then one small job message per attempt. It detects
+crashed, hung and wedged nodes, retries chunks with capped exponential
+backoff (``retries=``, ``task_timeout=``, ``backoff=``), and — after
 exhausting retries — falls back to in-process execution on the python
 backend. ``return_report=True`` returns the structured
 :class:`~repro.core.results.JoinReport` of all that alongside the pairs;
@@ -94,7 +82,7 @@ from ..data.collection import SetCollection
 from ..errors import DegradedExecutionWarning, InvalidParameterError
 from ..faults import FaultPlan
 from ..index.inverted import InvertedIndex
-from ..index.storage import CSRInvertedIndex, HybridInvertedIndex, SharedCSRHandle
+from ..index.storage import CSRInvertedIndex, HybridInvertedIndex
 from ..memory.meter import collection_footprint
 from ..obs.registry import active_or_null
 from .api import BACKEND_METHODS, BACKENDS, join_into
@@ -121,11 +109,6 @@ __all__ = [
 
 Pair = Tuple[int, int]
 
-#: How the superset-side index ships to a worker: tagged payload resolved
-#: by :func:`_resolve_index` — ("direct"|"pickle", index), ("shm", handle),
-#: or ("fork", token).
-_IndexPayload = Tuple[str, Any]
-
 #: Methods that accept a prebuilt global ``index=`` (superset side).
 _INDEX_METHODS = frozenset(
     {"framework", "framework_et", "tree", "tree_et", "all_partition", "lcjoin"}
@@ -137,12 +120,6 @@ _INDEX_METHODS = frozenset(
 _ARRAY_INDEX_METHODS = frozenset({"framework", "framework_et", "tree", "tree_et"})
 #: Methods that accept a prebuilt global ``order=`` as well.
 _ORDER_METHODS = frozenset({"tree", "tree_et", "all_partition", "lcjoin"})
-
-#: Fork-inherited payloads: populated in the parent immediately before the
-#: workers fork, read by workers through copy-on-write memory, and dropped
-#: in the parent's ``finally``. Keyed by id so nested/concurrent joins
-#: cannot collide.
-_FORK_SHARED: Dict[int, CSRInvertedIndex] = {}
 
 
 class ChunkResult(NamedTuple):
@@ -266,7 +243,7 @@ def build_method_index(
     caller-provided ``index`` is converted when the backend needs the
     array form, and passed through otherwise.
     """
-    if backend != "python" and method in _ARRAY_INDEX_METHODS:
+    if _uses_array_index(method, backend):
         cls = HybridInvertedIndex if backend == "hybrid" else CSRInvertedIndex
         if index is None:
             return cls.build(s_collection)
@@ -278,50 +255,27 @@ def build_method_index(
     return index
 
 
-def _resolve_index(
-    payload: Optional[_IndexPayload],
-) -> Optional[Union[InvertedIndex, CSRInvertedIndex]]:
-    """Turn a shipped index payload back into a probe-ready index."""
-    if payload is None:
-        return None
-    kind, value = payload
-    if kind == "direct" or kind == "pickle":
-        return value
-    if kind == "shm":
-        # Dispatch on the handle's kind tag through the class methods (not
-        # attach_shared_index) so tests can monkeypatch attachment per class.
-        if getattr(value, "kind", "csr") == "hybrid":
-            return HybridInvertedIndex.from_shared_memory(value)
-        return CSRInvertedIndex.from_shared_memory(value)
-    if kind == "fork":
-        return _FORK_SHARED[value]
-    raise InvalidParameterError(f"unknown index payload {kind!r}")
+def _uses_array_index(method: str, backend: str) -> bool:
+    """Whether ``(method, backend)`` probes the array (CSR/hybrid) index.
+
+    The one decision behind both :func:`build_method_index` and the
+    memory-admission price of the index (:func:`_admit_memory`).
+    """
+    return backend != "python" and method in _ARRAY_INDEX_METHODS
 
 
 def _join_chunk(args: Tuple[Any, ...]) -> ChunkResult:
-    rid_map, r_chunk, s_collection, method, backend, payload, extra, kwargs = args
+    rid_map, r_chunk, s_collection, method, backend, index, extra, kwargs = args
     kw = dict(kwargs)
     kw.update(extra)
-    index = _resolve_index(payload)
-    # Segments attached from shared memory must be detached even when the
-    # join raises: an exception that leaves the attachment open pins the
-    # mapping (and, pre-3.13, keeps the resource tracker believing the
-    # worker still uses it) for the rest of the worker's lifetime. The
-    # creator's unlink in parallel_join's ``finally`` does not release
-    # *this worker's* mapping — only close() does.
-    attached = payload is not None and payload[0] == "shm"
+    if index is not None:
+        kw["index"] = index
     sink = PairListSink()
     stats = JoinStats()
-    try:
-        if index is not None:
-            kw["index"] = index
-        join_into(
-            r_chunk, s_collection, sink, method=method, stats=stats,
-            backend=backend, **kw,
-        )
-    finally:
-        if attached and isinstance(index, CSRInvertedIndex):
-            index.close()
+    join_into(
+        r_chunk, s_collection, sink, method=method, stats=stats,
+        backend=backend, **kw,
+    )
     local, sids = pair_columns(sink.pairs)
     if isinstance(rid_map, int):
         rids = local + rid_map
@@ -337,37 +291,37 @@ _Chunks = List[Tuple[Union[int, List[int]], SetCollection]]
 class _ChunkJobs(NamedTuple):
     """The job factory a node receives once, when it is forked.
 
-    ``jobs(chunk_id, mode)`` is the :func:`_join_chunk` tuple for one
-    attempt; ``mode`` picks the index payload, and ``"local"`` is the
-    in-process fallback (python backend, no shared index). Under the fork
-    start method S, the payloads, the order and every chunk reach a node
-    through copy-on-write memory and are never pickled.
+    ``jobs(chunk_id)`` is the :func:`_join_chunk` tuple for one attempt
+    against ``index`` (``None`` when the method builds its own structures);
+    ``local=True`` is the in-process fallback (python backend, no shared
+    index). Under the fork start method S, the index, the order and every
+    chunk reach a node through copy-on-write memory and are never pickled.
     """
 
     chunks: _Chunks
     s_collection: SetCollection
     method: str
     backend: str
-    payloads: Dict[str, Optional[_IndexPayload]]
+    index: Optional[Union[InvertedIndex, CSRInvertedIndex]]
     extra: Dict[str, Any]
     kwargs: Dict[str, Any]
 
-    def __call__(self, chunk_id: int, mode: str) -> Tuple[Any, ...]:
+    def __call__(self, chunk_id: int, local: bool = False) -> Tuple[Any, ...]:
         rid_map, piece = self.chunks[chunk_id]
-        if mode == "local":
+        if local:
             # Degradation terminus: in-process, pure-python backend, the
             # method builds its own chunk-scoped structures. Slowest path,
             # fewest moving parts.
             return (rid_map, piece, self.s_collection, self.method, "python",
                     None, self.extra, self.kwargs)
         return (rid_map, piece, self.s_collection, self.method, self.backend,
-                self.payloads[mode], self.extra, self.kwargs)
+                self.index, self.extra, self.kwargs)
 
     def with_local_index(self) -> _ChunkJobs:
-        """This factory plus a ``"shard"`` payload: the caller's own index."""
-        index = build_method_index(self.s_collection, self.method, self.backend)
-        payload = None if index is None else ("direct", index)
-        return self._replace(payloads={**self.payloads, "shard": payload})
+        """This factory over the caller's own index (a shard node's)."""
+        return self._replace(
+            index=build_method_index(self.s_collection, self.method, self.backend)
+        )
 
 
 # -- memory-budget admission control ---------------------------------------
@@ -394,15 +348,21 @@ def _admit_memory(
     s_entries: int,
     workers: int,
     num_chunks: int,
+    method: str,
     backend: str,
     allow_split: bool,
     index_shared: Optional[bool] = None,
 ) -> Tuple[_Chunks, int, int, List[str]]:
     """Fit the run under ``memory_budget`` bytes; returns the adjusted plan.
 
-    The model: the superset-side index is a *fixed* cost paid once when it
-    is shared (CSR via shm/fork) and a *per-worker* cost when each worker
-    holds its own copy (the python index); each concurrent worker
+    The model: the superset-side index is the one
+    :func:`build_method_index` ships for ``(method, backend)``. The array
+    index is a *fixed* cost paid once, because worker nodes inherit it
+    copy-on-write and only read its buffers; the python index is a
+    *per-worker* cost, because reference counts are written into every
+    page a node reads, so each node soon holds its own copy. The
+    partitioned methods take the python index on every backend, and are
+    priced so. Each concurrent worker
     additionally holds one R-chunk, priced at the *largest* chunk of the
     split that will actually run — the anchor split balances record
     counts, not entries, so its largest chunk can cost more than the mean.
@@ -420,14 +380,11 @@ def _admit_memory(
     Returns ``(chunks, num_chunks, workers, notes)``: the split, the count
     it was asked for, the admitted concurrency and one note per decision.
     """
+    array_index = _uses_array_index(method, backend)
     index_bytes = s_entries * (
-        _CSR_BYTES_PER_ENTRY
-        if backend in ("csr", "hybrid")
-        else _PY_BYTES_PER_ENTRY
+        _CSR_BYTES_PER_ENTRY if array_index else _PY_BYTES_PER_ENTRY
     )
-    shared_index = (
-        backend in ("csr", "hybrid") if index_shared is None else index_shared
-    )
+    shared_index = array_index if index_shared is None else index_shared
     per_worker_index = 0 if shared_index else index_bytes
     avail = budget - (index_bytes if shared_index else 0)
 
@@ -506,14 +463,12 @@ def parallel_join(
     one chunk) everything runs in-process, so tests and small inputs pay no
     fork cost.
 
-    The superset-side index is built **once** here and shared with every
-    worker — via shared memory for the array backends (``"csr"`` and
-    ``"hybrid"``; zero-copy attach, bitmap rows included), via the fork
-    (or, failing that, pickling) for the Python backend (see the module
-    docstring for the measured pickle-vs-rebuild costs). Pass a prebuilt
-    ``index=`` to skip even the single parent-side build, e.g. when
-    issuing many joins against the same ``S``. ``strategy`` selects the
-    ``R`` chunking (:func:`split_collection`): ``"anchor"`` (whole
+    The superset-side index is built **once** here and every worker node
+    joins against it: nodes inherit it at fork (under other start methods
+    it is pickled once per node), bitmap rows included on ``"hybrid"``.
+    Pass a prebuilt ``index=`` to skip even the single parent-side build,
+    e.g. when issuing many joins against the same ``S``. ``strategy``
+    selects the ``R`` chunking (:func:`split_collection`): ``"anchor"`` (whole
     partitions of the global order) for ``tree``, ``tree_et``,
     ``all_partition`` and ``lcjoin``, ``"round_robin"`` for every other
     method. A resumed run without an explicit ``strategy`` keeps the one
@@ -620,7 +575,6 @@ def parallel_join(
             # ids only name the same work under the same split. The
             # concurrency still caps how many chunks run at once.
             num_chunks = runlog.manifest.num_chunks
-            runlog.reclaim_stale_segments()
             spilled, discarded = runlog.load_columns()
             completed = {
                 chunk_id: ChunkResult(rids, sids, JoinStats())
@@ -655,6 +609,7 @@ def parallel_join(
             collection_footprint(s_collection),
             concurrency,
             num_chunks,
+            method=method,
             backend=backend,
             allow_split=runlog is None,
             index_shared=False if shards is not None else None,
@@ -698,8 +653,16 @@ def parallel_join(
             if shards is not None
             else build_method_index(s_collection, method, backend, index)
         )
-        handle: Optional[SharedCSRHandle] = None
-        fork_token: Optional[int] = None
+        if shards is not None:
+            primary_mode = "shard"
+        elif shared_index is None:
+            primary_mode = "none"
+        else:
+            primary_mode = "direct" if in_process else "pickle"
+        jobs = _ChunkJobs(
+            chunks, s_collection, method, backend, shared_index, extra, kwargs
+        )
+        on_result = None if runlog is None else functools.partial(_spill, runlog)
         own_token = cancel is None
         token = cancel
         if token is None and (runlog is not None or deadline is not None):
@@ -711,43 +674,6 @@ def parallel_join(
                 # settle-or-kill in-flight chunks, flush spills, write ABORTED.
                 scope.enter_context(signal_cancellation(token))
             try:
-                primary_mode = "shard" if shards is not None else "none"
-                payloads: Dict[str, Optional[_IndexPayload]] = {
-                    "none": None, "local": None,
-                }
-                if shared_index is not None:
-                    payloads["pickle"] = ("pickle", shared_index)
-                    if in_process:
-                        primary_mode = "direct"
-                        payloads["direct"] = ("direct", shared_index)
-                    elif backend != "python" and isinstance(
-                        shared_index, CSRInvertedIndex
-                    ):
-                        try:
-                            handle = shared_index.to_shared_memory()
-                            primary_mode = "shm"
-                            payloads["shm"] = ("shm", handle)
-                        except OSError:
-                            # No usable /dev/shm (containers with tiny or
-                            # absent shm mounts). Fall back to fork-inherited
-                            # copy-on-write pages, then to plain pickling.
-                            if multiprocessing.get_start_method() == "fork":
-                                fork_token = id(shared_index)
-                                _FORK_SHARED[fork_token] = shared_index
-                                primary_mode = "fork"
-                                payloads["fork"] = ("fork", fork_token)
-                            else:  # pragma: no cover - non-fork platforms only
-                                primary_mode = "pickle"
-                    else:
-                        primary_mode = "pickle"
-                if runlog is not None and handle is not None:
-                    # Persist the segment names: a hard driver kill leaks
-                    # them in /dev/shm, and resume reclaims exactly this list.
-                    runlog.record_segments([name for name, __, __ in handle.segments])
-                jobs = _ChunkJobs(
-                    chunks, s_collection, method, backend, payloads, extra, kwargs
-                )
-                on_result = None if runlog is None else functools.partial(_spill, runlog)
                 if in_process:
                     by_chunk, report = _run_in_process(
                         jobs,
@@ -783,10 +709,6 @@ def parallel_join(
                     runlog.mark_aborted(f"{type(exc).__name__}: {exc}")
                 raise
             finally:
-                if handle is not None:
-                    handle.cleanup()
-                if fork_token is not None:
-                    _FORK_SHARED.pop(fork_token, None)
                 if own_token and token is not None:
                     token.close()
     report.degradations.extend(admission_notes)
@@ -854,7 +776,7 @@ def _run_in_process(
             continue
         check_abort(cancel, deadline_mark, chunk_id, n_chunks)
         t0 = time.perf_counter()
-        results[chunk_id] = _join_chunk(jobs(chunk_id, primary_mode))
+        results[chunk_id] = _join_chunk(jobs(chunk_id))
         if on_result is not None:
             on_result(chunk_id, 1, results[chunk_id])
         report.chunks[chunk_id].attempts.append(

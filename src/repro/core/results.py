@@ -209,15 +209,15 @@ class CallbackSink:
 class AttemptRecord:
     """One dispatch of one chunk: where it ran and how it ended.
 
-    ``mode`` is the index-payload path the attempt used — ``"shm"``,
-    ``"fork"``, ``"pickle"``, ``"none"`` (no shared index), ``"direct"``
-    (in-process fast path), ``"local"`` (the in-process degradation
-    fallback), ``"shard"`` (any attempt of a sharded run, whose node
-    built its own index, see :mod:`repro.core.supervisor`) or
-    ``"checkpoint"`` (the result was loaded from a verified spill, not
-    computed). The first four are the payload paths of ``workers=``
-    runs. ``outcome`` is ``"ok"``,
-    ``"error"`` (worker raised), ``"crash"`` (worker died without a
+    ``mode`` is where the attempt's index came from — ``"pickle"`` (a
+    ``workers=`` node joining against the parent's index, received with
+    its job factory), ``"none"`` (no shared index: the method builds its
+    own structures), ``"direct"`` (in-process fast path), ``"local"``
+    (the in-process degradation fallback), ``"shard"`` (any attempt of a
+    sharded run, whose node built its own index, see
+    :mod:`repro.core.supervisor`) or ``"checkpoint"`` (the result was
+    loaded from a verified spill, not computed). ``outcome`` is
+    ``"ok"``, ``"error"`` (worker raised), ``"crash"`` (worker died without a
     result), ``"timeout"`` (killed at the ``task_timeout`` deadline),
     ``"resumed"`` (settled from the checkpoint with ``number=0`` and zero
     duration) or ``"superseded"`` (a duplicate shard dispatch that lost
@@ -287,7 +287,7 @@ class JoinReport:
 
     Returned alongside the pairs with ``return_report=True``: per-chunk
     attempts with outcomes and wall-clock, plus every degradation step the
-    supervisor took (payload downgrades, in-process fallbacks). A report
+    run took (in-process fallbacks, shard respawns, memory admission). A report
     with ``total_retries == 0`` and no ``degradations`` is a clean run.
     """
 

@@ -23,11 +23,6 @@ holds:
     Chunks settle as int64 ``(rids, sids)`` columns and are spilled and
     loaded in that form; the bytes are the same as for the pair list.
 
-``segments.json``
-    The shared-memory segment names of the in-flight run. If the driver is
-    killed hard (SIGKILL, ``driverkill``), the segments leak in
-    ``/dev/shm``; resume reclaims them before dispatching.
-
 ``COMPLETE`` / ``ABORTED``
     Terminal markers. ``ABORTED`` records the reason (cancellation,
     deadline, crash unwind); a resumed run clears it and, on success,
@@ -89,7 +84,6 @@ __all__ = [
 MANIFEST_NAME = "MANIFEST.json"
 COMPLETE_NAME = "COMPLETE"
 ABORTED_NAME = "ABORTED"
-SEGMENTS_NAME = "segments.json"
 _CHUNK_PREFIX = "chunk-"
 _CHUNK_SUFFIX = ".pairs"
 _TMP_SUFFIX = ".tmp"
@@ -476,53 +470,12 @@ class RunLog:
             metrics.inc("checkpoint.chunks_resumed", len(completed))
         return completed, discarded
 
-    # -- shared-memory bookkeeping ----------------------------------------
-
-    def record_segments(self, names: Sequence[str]) -> None:
-        """Persist the run's live shm segment names (best effort)."""
-        with contextlib.suppress(OSError):
-            atomic_write_bytes(
-                self._path(SEGMENTS_NAME),
-                json.dumps(sorted(names)).encode("utf-8"),
-            )
-
-    def reclaim_stale_segments(self) -> List[str]:
-        """Unlink ``/dev/shm`` segments a hard-killed previous run leaked."""
-        from multiprocessing import shared_memory
-
-        try:
-            with open(self._path(SEGMENTS_NAME), "rb") as handle:
-                names = json.loads(handle.read().decode("utf-8"))
-        except (OSError, ValueError):
-            return []
-        reclaimed: List[str] = []
-        metrics = active_or_null()
-        for name in names:
-            if not isinstance(name, str):
-                continue
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            except (OSError, ValueError):
-                continue  # already gone — the previous run cleaned up
-            try:
-                with contextlib.suppress(OSError):
-                    segment.unlink()
-            finally:
-                segment.close()
-            reclaimed.append(name)
-            metrics.inc("checkpoint.stale_segments")
-        with contextlib.suppress(OSError):
-            os.unlink(self._path(SEGMENTS_NAME))
-        return reclaimed
-
     # -- terminal markers --------------------------------------------------
 
     def mark_complete(self) -> None:
         """Write the COMPLETE marker and clear transient state."""
         with contextlib.suppress(OSError):
             os.unlink(self._path(ABORTED_NAME))
-        with contextlib.suppress(OSError):
-            os.unlink(self._path(SEGMENTS_NAME))
         try:
             atomic_write_bytes(
                 self._path(COMPLETE_NAME),
@@ -539,11 +492,6 @@ class RunLog:
         """Write the ABORTED marker (no-op once COMPLETE exists).
 
         Called on *graceful* aborts — cancellation, deadline, crash unwind.
-        The shared-memory segment list is deliberately kept: graceful paths
-        also release their segments in their ``finally`` blocks, and a
-        stale list costs only a few failed unlinks on resume, whereas
-        removing it would lose the reclaim information if this abort races
-        a hard kill.
         """
         if self.is_complete():
             return

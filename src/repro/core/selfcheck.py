@@ -21,8 +21,8 @@ asserts at the structural seams:
 
 * every inverted list is strictly ascending and bounded by ``inf_sid``
   after a build (:func:`check_sorted_lists`);
-* the CSR arrays are monotone and mutually consistent after a build or a
-  shared-memory attach (:func:`check_csr_layout`);
+* the CSR arrays are monotone and mutually consistent after a build
+  (:func:`check_csr_layout`);
 * the hybrid backend's bitmap rows reconstruct bit-exactly to their CSR
   value slices and the dense routing tables are mutually inverse
   (:func:`check_hybrid_layout`);

@@ -7,9 +7,9 @@ run again without affecting any other chunk's result. This module is the
 one coordinator that exploits that property, for ``workers=`` and
 ``shards=`` alike. It follows the processes-as-nodes model of the
 Filter-and-Verification-Tree MapReduce line of work: chunks are jobs sent
-to long-lived *nodes*, each a process that receives S, the index payload,
-the order and the chunk list once, when it is forked, and afterwards only
-``(chunk id, attempt, payload mode)`` per job.
+to long-lived *nodes*, each a process that receives S, the index, the
+order and the chunk list once, when it is forked, and afterwards only
+``(chunk id, attempt)`` per job.
 
 Each chunk is a tracked task with a lifecycle::
 
@@ -30,24 +30,22 @@ Each chunk is a tracked task with a lifecycle::
   :class:`~repro.core.results.AttemptRecord` in the
   :class:`~repro.core.results.JoinReport`. The first result to settle a
   chunk wins; a duplicate's late result is dropped by chunk id.
-* **Degradation.** Failures classified as shared-memory attach errors
-  (:class:`~repro.errors.ShmAttachError`) downgrade that chunk's payload
-  from ``shm`` to ``pickle``; after ``SHM_FAILURE_THRESHOLD`` such failures
-  the *whole run* downgrades — a segment that will not map twice will not
-  map ten times. A chunk that exhausts its retries falls back to
+* **Degradation.** A chunk that exhausts its retries falls back to
   **in-process execution on the pure-python backend** — strictly slower,
-  but correct and isolated from whatever killed the nodes. Both emit
-  :class:`~repro.errors.DegradedExecutionWarning` and are recorded in the
-  report. With ``fallback=False`` the exhausted chunk raises
+  but correct and isolated from whatever killed the nodes. The fallback
+  emits :class:`~repro.errors.DegradedExecutionWarning` and is recorded in
+  the report. With ``fallback=False`` the exhausted chunk raises
   :class:`~repro.errors.WorkerFailedError` (or its subclass
   :class:`~repro.errors.JoinTimeoutError` for a final timeout) instead.
 
 The mode (``workers=`` or ``shards=``, spelled ``primary_mode="shard"``)
 decides exactly three things:
 
-* **where a node's index comes from** — under ``workers=`` each job uses
-  the parent's shm, fork or pickle payload; under ``shards=`` each node
-  builds its own copy, so no memory is shared across nodes;
+* **where a node's index comes from** — under ``workers=`` every node
+  joins against the parent's index, which arrives with the job factory
+  (inherited at fork, pickled once per node under other start methods);
+  under ``shards=`` each node builds its own copy, so no memory is shared
+  across nodes;
 * **straggler speculation** — only under ``shards=``: once
   :attr:`ShardPolicy.speculation_quorum` chunks have settled, an attempt
   in flight longer than ``max(speculation_min_seconds, speculation_factor
@@ -61,10 +59,9 @@ decides exactly three things:
   at once in both modes, as a fresh process per attempt always was.
 
 Fault injection (:mod:`repro.faults`) hooks into the node at job pickup
-(the ``shard`` stage, sharded runs only), at attempt start (``crash``/
-``hang``/``raise``) and before a shared-memory payload resolves
-(``shmfail``), so the chaos suites can script failures per ``(chunk,
-attempt)`` or per node deterministically.
+(the ``shard`` stage, sharded runs only) and at attempt start (``crash``/
+``hang``/``raise``), so the chaos suites can script failures per
+``(chunk, attempt)`` or per node deterministically.
 """
 
 from __future__ import annotations
@@ -85,7 +82,6 @@ from ..errors import (
     InvalidParameterError,
     JoinCancelledError,
     JoinTimeoutError,
-    ShmAttachError,
     WorkerFailedError,
 )
 from ..faults import (
@@ -103,7 +99,6 @@ __all__ = [
     "Coordinator",
     "ShardPolicy",
     "check_abort",
-    "SHM_FAILURE_THRESHOLD",
     "interruptible_wait",
     "start_report",
 ]
@@ -116,10 +111,6 @@ _OUTCOME_COUNTERS = {
     "timeout": "supervisor.timeouts",
 }
 
-#: Attach-classified failures tolerated before the whole run stops using
-#: shared memory. Two distinct failures rule out a one-off racy unlink.
-SHM_FAILURE_THRESHOLD = 2
-
 #: Grace period between SIGTERM and SIGKILL when putting a node down, and
 #: the join() allowance for a node whose pipe already hit EOF.
 _KILL_GRACE = 1.0
@@ -129,26 +120,20 @@ def interruptible_wait(
     timeout: float,
     cancel: Optional[CancelToken] = None,
     deadline_mark: Optional[float] = None,
-    extra: Tuple[Any, ...] = (),
 ) -> None:
     """Sleep up to ``timeout`` seconds, waking early on any abort signal.
 
     A capped-backoff delay must never outlive the reasons to keep waiting:
-    a cancellation (SIGINT/SIGTERM routed into the :class:`CancelToken`),
-    the run's absolute deadline, or any handle in ``extra`` becoming ready.
-    Anything with a ``fileno()`` — tokens, pipe connections, raw sentinel
-    fds — is a valid ``extra`` entry. Falls back to a plain bounded sleep
-    when there is nothing to watch.
+    a cancellation (SIGINT/SIGTERM routed into the :class:`CancelToken`)
+    or the run's absolute deadline. Falls back to a plain bounded sleep
+    when there is no token to watch.
     """
     if deadline_mark is not None:
         timeout = min(timeout, max(0.0, deadline_mark - time.monotonic()))
     if timeout <= 0:
         return
-    handles: List[Any] = list(extra)
     if cancel is not None:
-        handles.append(cancel)
-    if handles:
-        wait(handles, timeout=timeout)
+        wait([cancel], timeout=timeout)
     else:
         time.sleep(timeout)
 
@@ -222,8 +207,10 @@ _Job = Tuple[Any, ...]
 #: Whatever the runner returns for a chunk; carried, never inspected.
 _Result = Any
 _Runner = Callable[[_Job], _Result]
-#: Builds the job for (chunk_id, mode). Under ``shards=`` it also offers
-#: ``with_local_index()``, which a node calls once to build its own index.
+#: Builds the job for a chunk id: ``jobs(chunk_id)`` on a node, and
+#: ``jobs(chunk_id, local=True)`` for the in-process fallback. Under
+#: ``shards=`` it also offers ``with_local_index()``, which a node calls
+#: once to build its own index.
 _JobFactory = Any
 
 
@@ -288,8 +275,8 @@ def _node_main(
     loop and the heartbeat thread, so every send goes through one lock.
     Each job announces ``("run", chunk, attempt)`` once the node starts the
     attempt, then ends in exactly one ``("done", chunk, attempt, result)``
-    or ``("err", chunk, attempt, type, text, is_attach_failure)`` — or, for
-    a crash, in no message at all (the coordinator reads EOF and the exit
+    or ``("err", chunk, attempt, type, text)`` — or, for a crash, in no
+    message at all (the coordinator reads EOF and the exit
     code). Fault rules fire here, so an injected crash takes down a real
     process the same way a segfault would.
 
@@ -332,7 +319,7 @@ def _node_main(
                 return
             if message[0] == "stop":
                 return
-            __, chunk_id, attempt, mode = message
+            __, chunk_id, attempt = message
             rule = (
                 plan.rule_for_shard(node_id, incarnation, chunk_id)
                 if sharded and plan is not None
@@ -353,14 +340,9 @@ def _node_main(
             try:
                 if plan is not None:
                     plan.fire_worker_start(chunk_id, attempt)
-                    if mode == "shm":
-                        plan.fire_attach(chunk_id, attempt)
-                reply = ("done", chunk_id, attempt, runner(jobs(chunk_id, mode)))
+                reply = ("done", chunk_id, attempt, runner(jobs(chunk_id)))
             except BaseException as exc:  # noqa: B036 - forwarded, not swallowed
-                reply = (
-                    "err", chunk_id, attempt, type(exc).__name__, str(exc),
-                    isinstance(exc, ShmAttachError),
-                )
+                reply = ("err", chunk_id, attempt, type(exc).__name__, str(exc))
             send(reply)
     except OSError:
         return  # the coordinator's end is gone
@@ -399,12 +381,11 @@ class _Assignment:
 class _ChunkState:
     """Coordinator-side lifecycle of one chunk across nodes and attempts."""
 
-    __slots__ = ("chunk_id", "mode", "attempts", "ready_at", "inflight",
+    __slots__ = ("chunk_id", "attempts", "ready_at", "inflight",
                  "speculated", "last_error", "last_outcome")
 
-    def __init__(self, chunk_id: int, mode: str) -> None:
+    def __init__(self, chunk_id: int) -> None:
         self.chunk_id = chunk_id
-        self.mode = mode
         self.attempts = 0
         self.ready_at = 0.0
         self.inflight: List[_Assignment] = []
@@ -440,20 +421,19 @@ class Coordinator:
     Parameters
     ----------
     jobs:
-        Factory producing the job tuple for ``(chunk_id, mode)``. It
-        reaches each node once, at fork; a job message then carries only
-        the chunk id, attempt and payload mode. Called in the parent for
-        the ``local`` fallback.
+        Factory producing the job tuple for a chunk id. It reaches each
+        node once, at fork; a job message then carries only the chunk id
+        and attempt. Called in the parent, with ``local=True``, for the
+        ``local`` fallback.
     runner:
         The chunk-join function run on a node (and in-process for the
         ``local`` fallback).
     chunk_sizes:
         Records per chunk (chunk ids ``0..len-1``), for the report.
     primary_mode:
-        The payload mode first attempts use: ``"shm"``/``"fork"``/
-        ``"pickle"``/``"none"`` under ``workers=``, or ``"shard"`` for a
-        sharded run, whose nodes build their own index. Only ``"shm"``
-        takes part in the attach-downgrade ladder.
+        The mode every node attempt records: ``"pickle"`` (the parent's
+        index) or ``"none"`` (no index) under ``workers=``, or ``"shard"``
+        for a sharded run, whose nodes build their own index.
     nodes:
         Maximum concurrently live nodes.
     policy:
@@ -525,6 +505,7 @@ class Coordinator:
         self._on_result = on_result
         self._cancel = cancel
         self._deadline_mark = deadline_mark
+        self._mode = primary_mode
         self._sharded = primary_mode == "shard"
         self._noun = "shard" if self._sharded else "worker"
         # Captured once: supervision events are rare (per attempt, not per
@@ -534,14 +515,12 @@ class Coordinator:
         completed = completed or {}
         self.report = start_report(chunk_sizes, nodes, plan, completed)
         self._results: Dict[int, _Result] = dict(completed)
-        self._states = [_ChunkState(i, primary_mode) for i in range(len(chunk_sizes))]
+        self._states = [_ChunkState(i) for i in range(len(chunk_sizes))]
         self._pending = [s for s in self._states if s.chunk_id not in self._results]
         self._nodes = [_Node(i) for i in range(min(nodes, len(self._pending)))]
         self._durations: List[float] = []
         budget = self._policy.restart_budget
         self._restarts_left = budget if budget is not None else len(self._nodes)
-        self._shm_failures = 0
-        self._shm_disabled = primary_mode != "shm"
 
     # -- public entry ------------------------------------------------------
 
@@ -776,7 +755,7 @@ class Coordinator:
     ) -> None:
         state.attempts += 1
         assignment = _Assignment(
-            state.chunk_id, state.attempts, state.mode, node.node_id, now, speculative
+            state.chunk_id, state.attempts, self._mode, node.node_id, now, speculative
         )
         if self._sharded:
             self._metrics.inc("shard.assigned")
@@ -789,7 +768,7 @@ class Coordinator:
         try:
             if node.conn is None:
                 raise BrokenPipeError("node connection closed")
-            node.conn.send(("job", state.chunk_id, state.attempts, state.mode))
+            node.conn.send(("job", state.chunk_id, state.attempts))
         except (OSError, ValueError):
             # The node died between our liveness check and the send; the
             # death handler requeues this very assignment.
@@ -908,8 +887,6 @@ class Coordinator:
             state.ready_at = now + min(
                 self._backoff * (2 ** (state.attempts - 1)), self._backoff_cap
             )
-            if self._shm_disabled and state.mode == "shm":
-                state.mode = "pickle"
             self._pending.append(state)
         else:
             self._fallback_chunk(state)
@@ -931,7 +908,7 @@ class Coordinator:
             state.chunk_id, state.attempts, "local", None, time.monotonic(), False
         )
         try:
-            result = self._runner(self._jobs(state.chunk_id, "local"))
+            result = self._runner(self._jobs(state.chunk_id, local=True))
         except BaseException:
             self._record(
                 local, "error", time.monotonic() - local.started, state.last_error
@@ -952,26 +929,6 @@ class Coordinator:
                 state.last_error = f"no live {self._noun}s remain"
             state.inflight = []
             self._fallback_chunk(state)
-
-    # -- degradation ladder ------------------------------------------------
-
-    def _note_attach_failure(self, state: _ChunkState) -> None:
-        self._shm_failures += 1
-        if state.mode == "shm":
-            self._degrade(
-                f"chunk {state.chunk_id}: shm attach failed, payload "
-                "downgraded to pickle"
-            )
-            state.mode = "pickle"
-        if not self._shm_disabled and self._shm_failures >= SHM_FAILURE_THRESHOLD:
-            self._shm_disabled = True
-            self._degrade(
-                f"{self._shm_failures} shm attach failures: run downgraded "
-                "to the pickle payload path"
-            )
-            for other in self._states:
-                if other.mode == "shm" and other.chunk_id not in self._results:
-                    other.mode = "pickle"
 
     def _degrade(self, note: str) -> None:
         self._metrics.inc("supervisor.degradations")
@@ -1010,15 +967,11 @@ class Coordinator:
             if kind == "done":
                 self._settle(node, assignment, message[3], now)
                 continue
-            type_name, text, attach_failed = message[3:]
+            type_name, text = message[3:]
             error = f"{type_name}: {text}"
             state = self._states[assignment.chunk_id]
             state.inflight.remove(assignment)
-            # Record before any downgrade mutates state.mode: the report
-            # shows the mode the attempt actually ran under.
             self._record(assignment, "error", now - assignment.started, error)
-            if attach_failed:
-                self._note_attach_failure(state)
             self._chunk_failed(state, "error", error, now)
 
     # -- teardown ----------------------------------------------------------

@@ -16,7 +16,6 @@ __all__ = [
     "InvariantViolation",
     "WorkerFailedError",
     "JoinTimeoutError",
-    "ShmAttachError",
     "CheckpointError",
     "ResumeMismatchError",
     "JoinAbortedError",
@@ -80,16 +79,6 @@ class JoinTimeoutError(WorkerFailedError):
     """
 
 
-class ShmAttachError(ReproError, OSError):
-    """Attaching a shared-memory segment failed in a worker.
-
-    Classified separately from other worker errors because the supervisor
-    reacts differently: repeated attach failures downgrade the payload path
-    from shared memory to pickling instead of burning retries on a segment
-    that will never map.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint directory is missing, corrupt, or unusable.
 
@@ -140,9 +129,11 @@ class DeadlineExceededError(JoinAbortedError):
 class DegradedExecutionWarning(UserWarning):
     """A parallel join completed, but not on the fast path it started on.
 
-    Emitted (via :mod:`warnings`) whenever the supervisor downgrades a
-    chunk — shm → pickle payload, or worker → in-process execution — so
-    callers notice that results were computed correctly but more slowly.
+    Emitted (via :mod:`warnings`) whenever a run leaves its planned path —
+    a chunk falls back from its worker node to in-process execution, a
+    dead shard is respawned, memory admission splits chunks or caps
+    concurrency, or checkpointing turns off — so callers notice that
+    results were computed correctly but more slowly.
     Not a :class:`ReproError`: the join still returned the exact pair set.
     """
 

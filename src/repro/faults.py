@@ -1,18 +1,15 @@
 """Deterministic fault injection for the supervised parallel join.
 
 The coordinator in :mod:`repro.core.supervisor` is only trustworthy if its
-failure handling is *tested* — and worker crashes, hangs, and shared-memory
-attach failures do not happen on demand. This module makes them happen on
-demand, deterministically: a :class:`FaultPlan` is a list of rules keyed on
-``(chunk, attempt)``, shipped into every worker, and consulted at two well
-defined points of the worker lifecycle:
+failure handling is *tested* — and worker crashes, hangs, and raised
+errors do not happen on demand. This module makes them happen on demand,
+deterministically: a :class:`FaultPlan` is a list of rules keyed on
+``(chunk, attempt)``, shipped into every worker, and consulted at well
+defined points of the run:
 
 * **start** — before the chunk join begins, a matching ``crash`` / ``hang``
   / ``raise`` rule fires (hard ``os._exit``, a long sleep, or a
   :class:`FaultInjected` exception);
-* **attach** — before a shared-memory payload is resolved, a matching
-  ``shmfail`` rule raises :class:`~repro.errors.ShmAttachError`, exercising
-  the supervisor's payload-downgrade ladder;
 * **checkpoint** — in the *driver*, as a settled chunk's result is spilled
   to the checkpoint directory (:mod:`repro.core.runlog`): ``driverkill``
   hard-exits the driver right after the spill is durable (a deterministic
@@ -46,7 +43,7 @@ Spec grammar (``REPRO_FAULTS`` environment variable or ``FaultPlan.parse``)::
     attempt = int | "*"                 # attempt number (1-based) or any
     shard   = int | "*"                 # shard id (0-based) or any shard
     seq     = int | "*"                 # op-log seq (1-based) or any record
-    action  = "crash" | "hang" | "raise" | "shmfail"
+    action  = "crash" | "hang" | "raise"
             | "driverkill" | "diskfull" | "torn"
     shard_action = "kill" | "hang" | "slow"
     serve_action = "kill" | "torn" | "diskfull" | "lag"
@@ -84,7 +81,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidParameterError, ReproError, ShmAttachError
+from .errors import InvalidParameterError, ReproError
 
 __all__ = [
     "FaultInjected",
@@ -104,9 +101,9 @@ FAULTS_ENV = "REPRO_FAULTS"
 FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 
 #: Recognised fault actions. ``crash``/``hang``/``raise`` fire at worker
-#: start; ``shmfail`` fires at shared-memory attach time; the
-#: :data:`CHECKPOINT_ACTIONS` fire in the driver at checkpoint-spill time.
-ACTIONS = ("crash", "hang", "raise", "shmfail", "driverkill", "diskfull", "torn")
+#: start; the :data:`CHECKPOINT_ACTIONS` fire in the driver at
+#: checkpoint-spill time.
+ACTIONS = ("crash", "hang", "raise", "driverkill", "diskfull", "torn")
 
 #: The subset of :data:`ACTIONS` consulted by ``RunLog.record_columns`` —
 #: these target the *driver* process, not a worker.
@@ -364,15 +361,6 @@ class FaultPlan:
         raise FaultInjected(
             f"injected fault: chunk {chunk} attempt {attempt} raises"
         )
-
-    def fire_attach(self, chunk: int, attempt: int) -> None:
-        """Raise :class:`ShmAttachError` if a ``shmfail`` rule fires."""
-        rule = self.rule_for(chunk, attempt, ("shmfail",))
-        if rule is not None:
-            raise ShmAttachError(
-                f"injected fault: chunk {chunk} attempt {attempt} "
-                "shared-memory attach failure"
-            )
 
     def rule_for_shard(
         self, shard_id: int, incarnation: int, chunk: int

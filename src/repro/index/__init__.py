@@ -14,7 +14,6 @@ from .storage import (
     DeltaSegment,
     IncrementalIndex,
     IndexSnapshot,
-    SharedCSRHandle,
     load_collection_binary,
     load_index,
     save_collection_binary,
@@ -37,7 +36,6 @@ __all__ = [
     "DeltaSegment",
     "IncrementalIndex",
     "IndexSnapshot",
-    "SharedCSRHandle",
     "PrefixTree",
     "TreeNode",
     "TrieSnapshot",

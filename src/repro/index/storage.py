@@ -10,9 +10,7 @@ or on disk* rather than what it means:
 2. **The CSR array backend** — :class:`CSRInvertedIndex` packs *all*
    inverted lists into two contiguous numpy arrays (``offsets``,
    ``values``) plus a composite-keyed mirror (``keyed``), the layout the
-   batched kernels in :mod:`repro.index.kernels` run on and the one that
-   can be shared zero-copy with worker processes through
-   ``multiprocessing.shared_memory``.
+   batched kernels in :mod:`repro.index.kernels` run on.
 3. **The hybrid backend** — :class:`HybridInvertedIndex` keeps the full
    CSR arrays and *additionally* packs the densest inverted lists into
    uint64 bitmap rows (one bit per S-record), so probes against them
@@ -21,8 +19,8 @@ or on disk* rather than what it means:
    threshold (default from
    :func:`repro.core.estimate.element_frequency_profile`); everything the
    CSR backend supports — tree binding, pickling, REPRO_CHECK layout
-   checks, zero-copy sharing — works unchanged because the CSR arrays are
-   always present and authoritative.
+   checks — works unchanged because the CSR arrays are always present and
+   authoritative.
 
 Persistence layout (all integers little-endian):
 
@@ -38,16 +36,9 @@ Numpy handles the bulk (de)serialisation, so costs are I/O-bound.
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import os
-import signal
 import struct
-import threading
-import weakref
 from itertools import chain
-from multiprocessing import shared_memory
-from types import FrameType
 from typing import (
     Any,
     BinaryIO,
@@ -65,7 +56,7 @@ from typing import (
 import numpy as np
 
 from ..data.collection import SetCollection
-from ..errors import DatasetError, InvalidParameterError, ShmAttachError
+from ..errors import DatasetError, InvalidParameterError
 from ..obs import registry as _obs
 from .inverted import EMPTY_LIST, InvertedIndex
 from .search import contains_sorted
@@ -76,8 +67,6 @@ __all__ = [
     "DeltaSegment",
     "IndexSnapshot",
     "IncrementalIndex",
-    "SharedCSRHandle",
-    "attach_shared_index",
     "save_collection_binary",
     "load_collection_binary",
     "save_index",
@@ -187,7 +176,7 @@ def load_index(path: str) -> InvertedIndex:
 
 
 def _debug_check_csr(index: "CSRInvertedIndex") -> "CSRInvertedIndex":
-    """REPRO_CHECK=1 hook: validate the CSR layout after build/attach.
+    """REPRO_CHECK=1 hook: validate the CSR layout after a build.
 
     The environment test runs first so the disabled path costs one dict
     lookup and never imports :mod:`repro.core.selfcheck`.
@@ -245,187 +234,6 @@ class _CSRListMapping:
         return int(np.count_nonzero(counts))
 
 
-# -- interrupted-run shm hygiene -------------------------------------------
-#
-# Shared-memory segments are kernel objects: if the creating driver dies
-# with live segments, they persist in /dev/shm until reboot. The join
-# drivers release their handles in ``finally`` blocks, which covers every
-# *exception* path — but a signal that terminates the process without
-# unwinding (SIGTERM's default handler, an un-caught SIGINT outside any
-# try) skips those blocks. The registry below tracks every creator-side
-# handle in a WeakSet and installs, lazily on first creation:
-#
-# * an ``atexit`` hook (covers normal interpreter shutdown and SIG_DFL-free
-#   exits), and
-# * SIGINT/SIGTERM backstop handlers — installed **only** when the current
-#   handler is the Python default, so a run that armed its own cooperative
-#   cancellation (repro.core.runlog.signal_cancellation) is never
-#   overridden: during a durable run *that* layer owns the signals and
-#   cleans up through the driver's ``finally``; the backstop covers
-#   unsupervised interruptions, where terminating is correct. After
-#   cleaning up, the previous default behaviour is re-delivered (SIGINT
-#   raises KeyboardInterrupt, SIGTERM terminates with the right status).
-#
-# A SIGKILL still leaks by definition (nothing runs); the durable-run layer
-# closes that residual hole by persisting segment names and reclaiming them
-# on resume.
-
-#: handle -> creating pid. Forked workers inherit this mapping (and the
-#: signal handlers) from the driver, so cleanup filters on the recorded
-#: pid: only the creating process may unlink — a terminated worker tearing
-#: down the *driver's* live segments would kill every sibling's attach.
-_LIVE_HANDLES: "weakref.WeakKeyDictionary[SharedCSRHandle, int]" = (
-    weakref.WeakKeyDictionary()
-)
-_HOOKS_INSTALLED = False
-
-
-def _cleanup_live_handles() -> None:
-    """Close+unlink this process's still-live creator handles (idempotent)."""
-    pid = os.getpid()
-    for handle, owner in list(_LIVE_HANDLES.items()):
-        if owner == pid:
-            handle.cleanup()
-
-
-def _interrupt_cleanup(signum: int, frame: Optional[FrameType]) -> None:
-    _cleanup_live_handles()
-    # Re-deliver the default behaviour the handler displaced: for SIGINT
-    # that is raising KeyboardInterrupt, for SIGTERM dying with the signal
-    # in the exit status (so parents see a real SIGTERM death).
-    if signum == signal.SIGINT:
-        raise KeyboardInterrupt
-    signal.signal(signum, signal.SIG_DFL)
-    os.kill(os.getpid(), signum)
-
-
-def _install_cleanup_hooks() -> None:
-    global _HOOKS_INSTALLED
-    if _HOOKS_INSTALLED:
-        return
-    _HOOKS_INSTALLED = True
-    atexit.register(_cleanup_live_handles)
-    if threading.current_thread() is not threading.main_thread():
-        return  # signal.signal is main-thread-only; atexit still covers exits
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(OSError, ValueError):
-            current = signal.getsignal(sig)
-            if current in (signal.SIG_DFL, signal.default_int_handler):
-                signal.signal(sig, _interrupt_cleanup)
-
-
-def _register_creator_handle(handle: "SharedCSRHandle") -> None:
-    _LIVE_HANDLES[handle] = os.getpid()
-    _install_cleanup_hooks()
-
-
-class SharedCSRHandle:
-    """Picklable ticket for attaching an array-backend index zero-copy.
-
-    The parent process creates the shared-memory segments with
-    :meth:`CSRInvertedIndex.to_shared_memory` and ships this handle (a few
-    strings and ints) to each worker; workers attach the same physical
-    pages via :func:`attach_shared_index` (which dispatches on :attr:`kind`
-    — ``"csr"`` carries the three CSR arrays, ``"hybrid"`` additionally the
-    dense-element ids and the bitmap words). Lifecycle rules:
-
-    * the **creator** keeps the handle and calls :meth:`cleanup` once all
-      consumers are done — this closes its mappings and unlinks the
-      segments;
-    * **consumers** simply drop their index; the attached segments close
-      with it and are never unlinked from the worker side.
-    """
-
-    # __weakref__ lets the interrupted-run registry hold creator handles
-    # weakly: a handle that is garbage-collected drops out on its own.
-    __slots__ = (
-        "segments", "inf_sid", "universe_len", "construction_cost", "kind",
-        "_shms", "__weakref__",
-    )
-
-    def __init__(
-        self,
-        segments: Tuple[Tuple[str, str, int], ...],
-        inf_sid: int,
-        universe_len: int,
-        construction_cost: int,
-        shms: Optional[Tuple[shared_memory.SharedMemory, ...]] = None,
-        kind: str = "csr",
-    ) -> None:
-        #: (shm name, dtype string, array length) per shared array, in the
-        #: order of the owning class's ``_shared_arrays()``.
-        self.segments = segments
-        self.inf_sid = inf_sid
-        self.universe_len = universe_len
-        self.construction_cost = construction_cost
-        self.kind = kind
-        self._shms = shms  # creator-side references; never pickled
-        if shms is not None:
-            # Creator side only (worker-side handles arrive via pickle and
-            # never own segments): track for interrupted-run cleanup.
-            _register_creator_handle(self)
-
-    def __getstate__(
-        self,
-    ) -> Tuple[Tuple[Tuple[str, str, int], ...], int, int, int, str]:
-        return (
-            self.segments, self.inf_sid, self.universe_len,
-            self.construction_cost, self.kind,
-        )
-
-    def __setstate__(
-        self, state: Tuple[Tuple[Tuple[str, str, int], ...], int, int, int, str]
-    ) -> None:
-        (
-            self.segments, self.inf_sid, self.universe_len,
-            self.construction_cost, self.kind,
-        ) = state
-        self._shms = None
-
-    def cleanup(self) -> None:
-        """Creator-side teardown: close the mappings and unlink the segments.
-
-        Idempotent and abort-safe by design: the supervisor's failure paths
-        can reach this both from their own unwinding and from the join
-        driver's ``finally``, and a segment may already be gone (e.g. the
-        resource tracker reclaimed it after a worker crash) — a second call,
-        or an unlink racing an external removal, is a no-op rather than a
-        new exception on an already-failing path.
-        """
-        shms, self._shms = self._shms, None
-        if shms is None:
-            return
-        _LIVE_HANDLES.pop(self, None)
-        for shm in shms:
-            with contextlib.suppress(OSError, BufferError):  # pragma: no cover
-                shm.close()
-            with contextlib.suppress(OSError):  # pragma: no cover - best effort
-                shm.unlink()
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    # Attaching re-registers the segment with the resource tracker (Python
-    # <= 3.12 registers unconditionally). That is safe here: pool workers
-    # are always children of the creating process and therefore share its
-    # tracker, so the duplicate registration dedupes and the creator's
-    # ``unlink`` is the single point that unregisters. (An *unrelated*
-    # process attaching by name would need ``resource_tracker.unregister``
-    # to stop its own tracker reclaiming the segment at exit — that pattern
-    # is out of scope for the join drivers.)
-    #
-    # Attach failures are re-raised as ShmAttachError so the supervisor can
-    # classify them: a worker whose /dev/shm mapping fails needs a payload
-    # downgrade (shm -> pickle), not a blind retry against the same broken
-    # segment. ValueError covers the zero-size corruption case the kernel
-    # reports on a truncated segment.
-    try:
-        return shared_memory.SharedMemory(name=name)
-    except (OSError, ValueError) as exc:
-        raise ShmAttachError(
-            f"cannot attach shared-memory segment {name!r}: {exc}"
-        ) from exc
-
-
 class CSRInvertedIndex:
     """All inverted lists of ``S`` packed into contiguous numpy arrays.
 
@@ -458,7 +266,6 @@ class CSRInvertedIndex:
         "universe",
         "lists",
         "_construction_cost",
-        "_shms",
     )
 
     def __init__(
@@ -469,7 +276,6 @@ class CSRInvertedIndex:
         inf_sid: int,
         universe: Sequence[int],
         construction_cost: int = 0,
-        shms: Optional[Tuple[shared_memory.SharedMemory, ...]] = None,
     ) -> None:
         self.offsets = offsets
         self.values = values
@@ -479,7 +285,6 @@ class CSRInvertedIndex:
         self.universe = universe
         self.lists = _CSRListMapping(self)
         self._construction_cost = construction_cost
-        self._shms = shms  # keeps attached segments alive with the arrays
 
     # -- construction -----------------------------------------------------
 
@@ -554,7 +359,7 @@ class CSRInvertedIndex:
             construction_cost=index.construction_cost,
         ))
 
-    # -- pickling (used by the pickle fallback of parallel_join) ----------
+    # -- pickling (how parallel_join's worker nodes get the index) -------
 
     def __getstate__(
         self,
@@ -673,121 +478,8 @@ class CSRInvertedIndex:
         return int(self.values.shape[0])
 
     def nbytes(self) -> int:
-        """Bytes held by the three arrays (what shared memory would carry)."""
+        """Bytes held by the three arrays."""
         return int(self.offsets.nbytes + self.values.nbytes + self.keyed.nbytes)
-
-    def close(self) -> None:
-        """Release attached shared-memory segments (worker-side teardown).
-
-        Meaningful only for indexes returned by :meth:`from_shared_memory`;
-        a no-op (and idempotent) otherwise. The CSR views are replaced by
-        empty arrays first — ``mmap`` refuses to unmap while buffer exports
-        exist, and the views export ``shm.buf`` — so the index must not be
-        probed afterwards. Never unlinks: the creator owns the segment
-        names and reclaims them via :meth:`SharedCSRHandle.cleanup`.
-        """
-        shms, self._shms = self._shms, None
-        if shms is None:
-            return
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.values = np.zeros(0, dtype=np.int64)
-        self.keyed = np.zeros(0, dtype=np.int64)
-        for shm in shms:
-            with contextlib.suppress(OSError, BufferError):  # pragma: no cover
-                shm.close()
-
-    # -- zero-copy sharing ------------------------------------------------
-
-    #: Tag stamped into exported handles; :func:`attach_shared_index`
-    #: dispatches on it when a worker reattaches.
-    _SHARE_KIND = "csr"
-
-    def _shared_arrays(self) -> Tuple[np.ndarray, ...]:
-        """The arrays a shared-memory export carries, in attach order."""
-        return (self.offsets, self.values, self.keyed)
-
-    def to_shared_memory(self) -> SharedCSRHandle:
-        """Copy the backing arrays into shared memory and return the ticket.
-
-        Only global indexes (contiguous ``range`` universe) are shareable —
-        exactly the ones :func:`repro.core.parallel.parallel_join` builds.
-        The caller owns the returned handle and must call
-        :meth:`SharedCSRHandle.cleanup` after the last consumer detaches.
-        """
-        if not isinstance(self.universe, range):
-            raise InvalidParameterError(
-                "only global CSR indexes (range universe) can be shared"
-            )
-        segments = []
-        shms = []
-        try:
-            for arr in self._shared_arrays():
-                arr = np.ascontiguousarray(arr)
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(arr.nbytes, 1)
-                )
-                shms.append(shm)
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                view[:] = arr
-                segments.append((shm.name, arr.dtype.str, int(arr.shape[0])))
-        except BaseException:
-            for shm in shms:
-                shm.close()
-                with contextlib.suppress(FileNotFoundError):
-                    shm.unlink()
-            raise
-        return SharedCSRHandle(
-            tuple(segments),
-            inf_sid=self.inf_sid,
-            universe_len=len(self.universe),
-            construction_cost=self._construction_cost,
-            shms=tuple(shms),
-            kind=self._SHARE_KIND,
-        )
-
-    @staticmethod
-    def _attach_arrays(
-        handle: SharedCSRHandle,
-    ) -> Tuple[List[np.ndarray], Tuple[shared_memory.SharedMemory, ...]]:
-        """Attach every segment of ``handle`` as a read-only array view.
-
-        A partial attach — segment *k* failing after segments ``< k``
-        mapped — closes the already-attached segments before re-raising,
-        so no mapping outlives the exception.
-        """
-        attached: List[shared_memory.SharedMemory] = []
-        try:
-            for name, __, __ in handle.segments:
-                attached.append(_attach_segment(name))
-            arrays = []
-            for shm, (__, dtype, length) in zip(attached, handle.segments):
-                arr = np.ndarray((length,), dtype=np.dtype(dtype), buffer=shm.buf)
-                arr.flags.writeable = False
-                arrays.append(arr)
-        except BaseException:
-            for shm in attached:
-                shm.close()
-            raise
-        return arrays, tuple(attached)
-
-    @classmethod
-    def from_shared_memory(cls, handle: SharedCSRHandle) -> "CSRInvertedIndex":
-        """Attach to segments created by :meth:`to_shared_memory` (zero-copy).
-
-        The returned index keeps the attached segments alive until
-        :meth:`close` is called (or the index is dropped). The worker side
-        never unlinks.
-        """
-        arrays, shms = cls._attach_arrays(handle)
-        offsets, values, keyed = arrays
-        return _debug_check_csr(cls(
-            offsets, values, keyed,
-            inf_sid=handle.inf_sid,
-            universe=range(handle.universe_len),
-            construction_cost=handle.construction_cost,
-            shms=shms,
-        ))
-
 
 #: Cap on bitmap rows per index: rows cost ``ceil(inf_sid / 64)`` words
 #: each, and past the densest ~1k elements the probe traffic per extra row
@@ -809,7 +501,7 @@ class HybridInvertedIndex(CSRInvertedIndex):
 
     * ``dense_ids``  — int64, sorted: the elements given a bitmap row;
     * ``dense_map``  — int64, length ``num_slots``: element → row index,
-      ``-1`` for sparse elements (rebuilt locally, never shared);
+      ``-1`` for sparse elements (rebuilt on unpickling, never pickled);
     * ``bitmap``     — uint64, flat ``num_dense * words`` with
       ``words = ceil(inf_sid / 64)``; bit ``sid`` of row ``r`` (i.e. bit
       ``sid & 63`` of word ``r * words + (sid >> 6)``) is set iff
@@ -842,18 +534,17 @@ class HybridInvertedIndex(CSRInvertedIndex):
         inf_sid: int,
         universe: Sequence[int],
         construction_cost: int = 0,
-        shms: Optional[Tuple[shared_memory.SharedMemory, ...]] = None,
         *,
         dense_ids: np.ndarray,
         bitmap: np.ndarray,
     ) -> None:
         super().__init__(
-            offsets, values, keyed, inf_sid, universe, construction_cost, shms
+            offsets, values, keyed, inf_sid, universe, construction_cost
         )
         self.dense_ids = dense_ids
         self.bitmap = bitmap
         self.bitmap_words = (inf_sid + _WORD_BITS - 1) // _WORD_BITS
-        # element -> bitmap row; local (rebuilt per attach), never shared.
+        # element -> bitmap row; rebuilt on unpickling, never pickled.
         dense_map = np.full(self.num_slots, -1, dtype=np.int64)
         if dense_ids.shape[0]:
             dense_map[dense_ids] = np.arange(dense_ids.shape[0], dtype=np.int64)
@@ -870,10 +561,9 @@ class HybridInvertedIndex(CSRInvertedIndex):
     ) -> "HybridInvertedIndex":
         """Promote a CSR index: pick the dense lists, pack their bitmaps.
 
-        The CSR arrays are adopted zero-copy (shared-memory views
-        included — the bitmap is built locally from them); only the
-        ``max_dense`` longest lists at or above ``dense_threshold`` get a
-        row. ``dense_threshold=None`` asks
+        The CSR arrays are adopted zero-copy (the bitmap is built from
+        them); only the ``max_dense`` longest lists at or above
+        ``dense_threshold`` get a row. ``dense_threshold=None`` asks
         :func:`repro.core.estimate.element_frequency_profile` for the
         break-even length.
         """
@@ -913,7 +603,6 @@ class HybridInvertedIndex(CSRInvertedIndex):
             inf_sid=csr.inf_sid,
             universe=csr.universe,
             construction_cost=csr.construction_cost,
-            shms=csr._shms,
             dense_ids=dense_ids,
             bitmap=bitmap,
         ))
@@ -1024,46 +713,6 @@ class HybridInvertedIndex(CSRInvertedIndex):
         return int(
             super().nbytes() + self.dense_ids.nbytes + self.bitmap.nbytes
         )
-
-    def close(self) -> None:
-        """Release attached segments; also drops the bitmap views."""
-        if self._shms is not None:
-            self.dense_ids = np.zeros(0, dtype=np.int64)
-            self.bitmap = np.zeros(0, dtype=np.uint64)
-            self.dense_map = np.zeros(0, dtype=np.int64)
-        super().close()
-
-    # -- zero-copy sharing ------------------------------------------------
-
-    def _shared_arrays(self) -> Tuple[np.ndarray, ...]:
-        return (self.offsets, self.values, self.keyed,
-                self.dense_ids, self.bitmap)
-
-    @classmethod
-    def from_shared_memory(cls, handle: SharedCSRHandle) -> "HybridInvertedIndex":
-        """Attach a hybrid export: CSR arrays + dense ids + bitmap rows."""
-        if handle.kind != cls._SHARE_KIND:
-            raise InvalidParameterError(
-                f"handle carries a {handle.kind!r} index, not 'hybrid'"
-            )
-        arrays, shms = cls._attach_arrays(handle)
-        offsets, values, keyed, dense_ids, bitmap = arrays
-        return _debug_check_hybrid(cls(
-            offsets, values, keyed,
-            inf_sid=handle.inf_sid,
-            universe=range(handle.universe_len),
-            construction_cost=handle.construction_cost,
-            shms=shms,
-            dense_ids=dense_ids,
-            bitmap=bitmap,
-        ))
-
-
-def attach_shared_index(handle: SharedCSRHandle) -> CSRInvertedIndex:
-    """Reattach a shared index of whatever kind the handle carries."""
-    if handle.kind == HybridInvertedIndex._SHARE_KIND:
-        return HybridInvertedIndex.from_shared_memory(handle)
-    return CSRInvertedIndex.from_shared_memory(handle)
 
 
 def _check_key_space(num_slots: int, stride: int) -> None:

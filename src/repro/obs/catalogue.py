@@ -98,7 +98,7 @@ COUNTER_CATALOGUE = {
     "supervisor.crashes": "attempts whose worker died silently",
     "supervisor.timeouts": "attempts killed at the task_timeout deadline",
     "supervisor.fallbacks": "chunks degraded to in-process execution",
-    "supervisor.degradations": "degradation events (payload downgrades, fallbacks)",
+    "supervisor.degradations": "degradation events (in-process fallbacks, shard respawns)",
     "supervisor.cancellations": "runs aborted by cooperative cancellation",
     "supervisor.deadline_aborts": "runs aborted at the overall deadline",
     "supervisor.memory_splits": "admission-control chunk-split decisions",
@@ -116,7 +116,6 @@ COUNTER_CATALOGUE = {
     "checkpoint.chunks_resumed": "verified spills loaded instead of re-run",
     "checkpoint.chunks_discarded": "torn/invalid spills discarded on resume",
     "checkpoint.write_errors": "spill writes abandoned on OSError",
-    "checkpoint.stale_segments": "leaked shm segments reclaimed on resume",
     "checkpoint.aborts": "ABORTED markers written",
     # -- pubsub.*: the broker --
     "pubsub.subscribed": "subscriptions registered",

@@ -195,33 +195,21 @@ class TestCSRIndexStructure:
         assert starts.tolist() == csr.offsets[[0, 2]].tolist()
         assert ends.tolist() == csr.offsets[[1, 3]].tolist()
 
-    def test_shared_memory_roundtrip(self):
+    def test_pickle_roundtrip(self):
+        # Pickling is how a worker node receives the index when it is not
+        # inherited through fork.
+        import pickle
+
         data = generate_zipf(
             cardinality=50, avg_set_size=4, num_elements=25, z=0.6, seed=4
         )
         csr = CSRInvertedIndex.build(data)
-        handle = csr.to_shared_memory()
-        try:
-            attached = CSRInvertedIndex.from_shared_memory(handle)
-            assert attached.offsets.tolist() == csr.offsets.tolist()
-            assert attached.values.tolist() == csr.values.tolist()
-            assert attached.keyed.tolist() == csr.keyed.tolist()
-            assert attached.inf_sid == csr.inf_sid
-            # The attached view is a borrow: read-only, never unlinked here.
-            with pytest.raises(ValueError):
-                attached.values[0] = 0
-            del attached
-        finally:
-            handle.cleanup()
-        handle.cleanup()  # idempotent
-
-    def test_local_index_not_shareable(self):
-        s = SetCollection([[0, 1], [1, 2]])
-        py = InvertedIndex.build(s)
-        local = py.build_local([0], s)
-        csr = CSRInvertedIndex.from_index(local)
-        with pytest.raises(InvalidParameterError):
-            csr.to_shared_memory()
+        clone = pickle.loads(pickle.dumps(csr))
+        assert clone.offsets.tolist() == csr.offsets.tolist()
+        assert clone.values.tolist() == csr.values.tolist()
+        assert clone.keyed.tolist() == csr.keyed.tolist()
+        assert clone.inf_sid == csr.inf_sid
+        assert clone.universe == csr.universe
 
 
 class TestHybridIndexStructure:

@@ -133,163 +133,6 @@ class TestFrozenMutation:
         assert findings == []
 
 
-# -- RL201: SharedMemory lifecycle ---------------------------------------
-
-
-class TestShmLifecycle:
-    def test_leaky_create_flagged(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def leak(n):
-                shm = shared_memory.SharedMemory(create=True, size=n)
-                return shm.buf[0]
-            """,
-        )
-        assert _codes(findings) == ["RL201"]
-
-    def test_close_without_unlink_on_create_flagged(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def half(n):
-                shm = shared_memory.SharedMemory(create=True, size=n)
-                try:
-                    return shm.buf[0]
-                finally:
-                    shm.close()
-            """,
-        )
-        assert _codes(findings) == ["RL201"]
-
-    def test_try_finally_cleanup_clean(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def ok(n):
-                shm = shared_memory.SharedMemory(create=True, size=n)
-                try:
-                    return bytes(shm.buf)
-                finally:
-                    shm.close()
-                    shm.unlink()
-            """,
-        )
-        assert findings == []
-
-    def test_attach_needs_close_only(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                shm = shared_memory.SharedMemory(name=name)
-                try:
-                    return bytes(shm.buf)
-                finally:
-                    shm.close()
-            """,
-        )
-        assert findings == []
-
-    def test_returned_handle_is_callers_problem(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def make(n):
-                return shared_memory.SharedMemory(create=True, size=n)
-            """,
-        )
-        assert findings == []
-
-    def test_marker_suppresses(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def custom(n):
-                # lint: shm-external-lifecycle (test fixture)
-                shm = shared_memory.SharedMemory(create=True, size=n)
-                register_for_cleanup(shm)
-            """,
-        )
-        assert findings == []
-
-    def test_cleanup_call_satisfies_close_and_unlink(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def ok(n, handle):
-                shm = shared_memory.SharedMemory(create=True, size=n)
-                handle.adopt(shm)
-                try:
-                    return bytes(shm.buf)
-                finally:
-                    handle.cleanup()
-            """,
-        )
-        assert findings == []
-
-    def test_leaky_to_shared_memory_flagged(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            def leak(index):
-                handle = index.to_shared_memory()
-                return handle.descriptor()
-            """,
-        )
-        assert _codes(findings) == ["RL201"]
-
-    def test_to_shared_memory_with_cleanup_in_finally_clean(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            def ok(index, run):
-                handle = index.to_shared_memory()
-                try:
-                    return run(handle.descriptor())
-                finally:
-                    handle.cleanup()
-            """,
-        )
-        assert findings == []
-
-    def test_to_shared_memory_returned_directly_clean(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            def export(index):
-                return index.to_shared_memory()
-            """,
-        )
-        assert findings == []
-
-    def test_to_shared_memory_marker_suppresses(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            """
-            def custom(index, registry):
-                # lint: shm-external-lifecycle (test fixture)
-                handle = index.to_shared_memory()
-                registry.adopt(handle)
-            """,
-        )
-        assert findings == []
-
-
 # -- RL301: scalar loops in the batched kernels ---------------------------
 
 
@@ -851,8 +694,9 @@ class TestCli:
     def test_select_filters_checkers(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("def f(index):\n    index.values[0] = 1\n", encoding="utf-8")
-        # Only the shm checker selected: the frozen mutation is not reported.
-        assert lint_main([str(bad), "--select", "RL201"]) == 0
+        # Only the hot-loop checker selected: the frozen mutation is not
+        # reported.
+        assert lint_main([str(bad), "--select", "RL301"]) == 0
         capsys.readouterr()
 
     def test_unknown_select_exits_two(self, tmp_path, capsys):
@@ -868,7 +712,6 @@ class TestCli:
         out = capsys.readouterr().out
         for code in (
             "RL101",
-            "RL201",
             "RL301",
             "RL401",
             "RL501",

@@ -7,9 +7,8 @@ call graph (``tools.lint.project``), the four whole-program checkers
 finding cache, output formats, and the baseline workflow.
 
 The seeded-bug tests at the bottom are the acceptance gate from the
-engine's design: a leaked pipe fd and an unsafe signal handler that the
-old per-file heuristics (RL201) provably miss, caught by the CFG and
-call-graph checkers.
+engine's design: a leaked pipe fd and an unsafe signal handler, caught by
+the CFG and call-graph checkers.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from tools.lint.checkers.exception_contract import CHECKER as EXCEPTION_CONTRACT
 from tools.lint.checkers.fork_signal_safety import CHECKER as FORK_SIGNAL_SAFETY  # noqa: E402
 from tools.lint.checkers.frozen_mutation import CHECKER as FROZEN_MUTATION  # noqa: E402
 from tools.lint.checkers.resource_flow import CHECKER as RESOURCE_FLOW  # noqa: E402
-from tools.lint.checkers.shm_lifecycle import CHECKER as SHM_LIFECYCLE  # noqa: E402
 from tools.lint.cli import main as lint_main  # noqa: E402
 from tools.lint.engine import lint_tree  # noqa: E402
 from tools.lint.output import render_json, render_sarif  # noqa: E402
@@ -344,20 +342,23 @@ class TestResourceFlow:
         assert findings == []
 
     def test_guarded_cleanup_idiom_clean(self, tmp_path):
-        # The parallel-driver idiom: handle = None, acquire inside try,
-        # `if handle is not None: handle.cleanup()` in the finally. The
+        # The guarded idiom: handle = None, acquire inside try,
+        # `if handle is not None: handle.close()` in the finally. The
         # predicate-aware walk must take the cleanup branch.
         findings = _lint_source(
             tmp_path,
             """
-            def ok(make, fail):
+            from multiprocessing.shared_memory import SharedMemory
+
+
+            def ok(n, fail):
                 handle = None
                 try:
-                    handle = make.to_shared_memory()
+                    handle = SharedMemory(create=True, size=n)
                     step(fail)
                 finally:
                     if handle is not None:
-                        handle.cleanup()
+                        handle.close()
             """,
             [RESOURCE_FLOW],
         )
@@ -847,16 +848,12 @@ class TestSeededBugs:
             """,
     }
 
-    def test_rl702_catches_pipe_leak_rl201_misses(self, tmp_path):
-        old = _lint_source(tmp_path, self.PIPE_LEAK, [SHM_LIFECYCLE])
-        assert old == []  # the shm heuristic has no concept of pipe fds
+    def test_rl702_catches_pipe_leak(self, tmp_path):
         new = _lint_source(tmp_path, self.PIPE_LEAK, [RESOURCE_FLOW])
         assert _codes(new) == ["RL702"]
 
-    def test_rl701_catches_unsafe_handler_rl201_misses(self, tmp_path):
+    def test_rl701_catches_unsafe_handler(self, tmp_path):
         _write_tree(tmp_path, self.UNSAFE_HANDLER)
-        old = lint_tree([tmp_path], [SHM_LIFECYCLE], [], root=tmp_path)
-        assert old == []  # no SharedMemory() call for RL201 to anchor on
         new = lint_tree([tmp_path], [], [FORK_SIGNAL_SAFETY], root=tmp_path)
         assert _codes(new) == ["RL701"]
 
@@ -907,7 +904,7 @@ class TestFindingCache:
 
         lint_tree([root], [FROZEN_MUTATION], root=root, cache_path=cache)
         # A different selection must not replay RL101 from the stale entry.
-        other = lint_tree([root], [SHM_LIFECYCLE], root=root, cache_path=cache)
+        other = lint_tree([root], [RESOURCE_FLOW], root=root, cache_path=cache)
         assert other == []
 
     def test_syntax_errors_are_cached(self, tmp_path):

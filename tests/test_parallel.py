@@ -12,7 +12,7 @@ from repro.core.verify import ground_truth
 from repro.data.collection import SetCollection
 from repro.errors import DegradedExecutionWarning, InvalidParameterError
 from repro.index.inverted import InvertedIndex
-from repro.index.storage import CSRInvertedIndex
+from repro.index.storage import CSRInvertedIndex, HybridInvertedIndex
 
 from conftest import random_instance
 
@@ -178,35 +178,38 @@ class TestSharedIndexBuildOnce:
         assert calls == [len(s)]
 
     @fork_only
-    @pytest.mark.parametrize("backend", ["python", "csr"])
+    @pytest.mark.parametrize("backend", ["python", "csr", "hybrid"])
     def test_workers_never_build(self, monkeypatch, backend):
         # Prebuild the index, then poison both build classmethods. Forked
         # workers inherit the poisoned classes, so a clean run proves no
-        # per-worker (re)build of the shared S-side index happened anywhere.
+        # per-worker (re)build of the shared S-side index happened anywhere:
+        # every backend's nodes join against the one parent-built index.
         # The REPRO_CHECK sanitizer deliberately rebuilds an index for
         # its cross-backend spot check; pin it off so the poisoned
         # classmethods only see the production join path.
         monkeypatch.setenv("REPRO_CHECK", "0")
         r, s = random_instance(10)
         expected = sorted(ground_truth(r, s))
-        prebuilt = (
-            CSRInvertedIndex.build(s)
-            if backend == "csr"
-            else InvertedIndex.build(s)
-        )
+        builders = {
+            "python": InvertedIndex,
+            "csr": CSRInvertedIndex,
+            "hybrid": HybridInvertedIndex,
+        }
+        prebuilt = builders[backend].build(s)
 
         def boom(cls, *a, **kw):
             raise AssertionError("index rebuilt inside a worker")
 
+        # HybridInvertedIndex.build goes through CSRInvertedIndex.build.
         monkeypatch.setattr(InvertedIndex, "build", classmethod(boom))
         monkeypatch.setattr(CSRInvertedIndex, "build", classmethod(boom))
-        got = sorted(
-            parallel_join(
-                r, s, method="framework", workers=2,
-                backend=backend, index=prebuilt,
-            )
+        got, report = parallel_join(
+            r, s, method="framework", workers=2,
+            backend=backend, index=prebuilt, return_report=True,
         )
-        assert got == expected
+        assert sorted(got) == expected
+        modes = [a.mode for c in report.chunks for a in c.attempts]
+        assert modes and set(modes) == {"pickle"}
 
     def test_prebuilt_index_through_api(self):
         # Satellite check: set_containment_join accepts a prebuilt index=,
@@ -231,185 +234,8 @@ class TestSharedIndexBuildOnce:
             ) == expected
 
 
-class TestPayloadFallbackPaths:
-    """The shm -> fork -> pickle payload ladder in ``parallel_join``.
-
-    When ``to_shared_memory`` fails (no usable /dev/shm), the CSR index
-    must ride fork-inherited copy-on-write pages; when fork is unavailable
-    too, it is pickled into the jobs. Both paths must produce the exact
-    pair set and leave no parent-side residue.
-    """
-
-    @fork_only
-    def test_shm_failure_uses_fork_inherited_buffer(self, monkeypatch):
-        import repro.core.parallel as parallel_mod
-
-        r, s = random_instance(12)
-        expected = sorted(ground_truth(r, s))
-
-        def no_shm(self):
-            raise OSError("injected: /dev/shm unavailable")
-
-        monkeypatch.setattr(CSRInvertedIndex, "to_shared_memory", no_shm)
-
-        stashed = []
-        real_setitem = dict.__setitem__
-
-        class SpyDict(dict):
-            def __setitem__(self, key, value):
-                stashed.append(key)
-                real_setitem(self, key, value)
-
-        spy = SpyDict()
-        monkeypatch.setattr(parallel_mod, "_FORK_SHARED", spy)
-        got = sorted(
-            parallel_join(r, s, method="framework", workers=2, backend="csr")
-        )
-        assert got == expected
-        assert stashed, "fork payload path never engaged"
-        assert spy == {}, "_FORK_SHARED not cleaned up after the join"
-
-    def test_shm_and_fork_failure_pickles_index(self, monkeypatch):
-        import repro.core.parallel as parallel_mod
-
-        r, s = random_instance(13)
-        expected = sorted(ground_truth(r, s))
-
-        def no_shm(self):
-            raise OSError("injected: /dev/shm unavailable")
-
-        monkeypatch.setattr(CSRInvertedIndex, "to_shared_memory", no_shm)
-        # Pretend fork is unavailable; only the start-method *probe* is
-        # patched, the workers themselves still launch via the platform
-        # default context.
-        monkeypatch.setattr(
-            multiprocessing, "get_start_method", lambda allow_none=False: "spawn"
-        )
-        stashed = []
-
-        class SpyDict(dict):
-            def __setitem__(self, key, value):
-                stashed.append(key)
-                dict.__setitem__(self, key, value)
-
-        monkeypatch.setattr(parallel_mod, "_FORK_SHARED", SpyDict())
-        got, report = parallel_join(
-            r, s, method="framework", workers=2, backend="csr",
-            return_report=True,
-        )
-        assert sorted(got) == expected
-        assert not stashed, "fork path used despite spawn start method"
-        assert all(
-            a.mode == "pickle" for c in report.chunks for a in c.attempts
-        )
-
-    def test_resolve_index_fork_tag(self):
-        import repro.core.parallel as parallel_mod
-        from repro.core.parallel import _resolve_index
-
-        s = SetCollection([(0, 1), (1, 2)])
-        index = CSRInvertedIndex.build(s)
-        token = id(index)
-        parallel_mod._FORK_SHARED[token] = index
-        try:
-            assert _resolve_index(("fork", token)) is index
-        finally:
-            del parallel_mod._FORK_SHARED[token]
-
-    def test_resolve_index_pickle_and_direct_tags(self):
-        from repro.core.parallel import _resolve_index
-
-        s = SetCollection([(0, 1), (1, 2)])
-        index = CSRInvertedIndex.build(s)
-        assert _resolve_index(("pickle", index)) is index
-        assert _resolve_index(("direct", index)) is index
-        assert _resolve_index(None) is None
-
-    def test_resolve_index_unknown_tag(self):
-        from repro.core.parallel import _resolve_index
-
-        with pytest.raises(InvalidParameterError):
-            _resolve_index(("carrier-pigeon", None))
-
-
-class TestWorkerShmCleanup:
-    """Shared-memory attachments must be released on every worker exit path."""
-
-    def test_join_chunk_closes_attachment_on_success(self, monkeypatch):
-        from repro.core.parallel import _join_chunk
-
-        r, s = random_instance(3)
-        handle = CSRInvertedIndex.build(s).to_shared_memory()
-        captured = []
-        orig = CSRInvertedIndex.from_shared_memory.__func__
-
-        def wrapped(cls, h):
-            inst = orig(cls, h)
-            captured.append(inst)
-            return inst
-
-        monkeypatch.setattr(
-            CSRInvertedIndex, "from_shared_memory", classmethod(wrapped)
-        )
-        try:
-            args = (0, r, s, "framework", "csr", ("shm", handle), {}, {})
-            rids, sids, __ = _join_chunk(args)
-            pairs = zip(rids.tolist(), sids.tolist())
-            assert sorted(pairs) == sorted(ground_truth(r, s))
-        finally:
-            handle.cleanup()
-        assert captured, "worker never attached the shared index"
-        assert captured[0]._shms is None, "attachment not closed after join"
-
-    def test_join_chunk_closes_attachment_on_error(self, monkeypatch):
-        from repro.core.parallel import _join_chunk
-
-        r, s = random_instance(4)
-        handle = CSRInvertedIndex.build(s).to_shared_memory()
-        captured = []
-        orig = CSRInvertedIndex.from_shared_memory.__func__
-
-        def wrapped(cls, h):
-            inst = orig(cls, h)
-            captured.append(inst)
-            return inst
-
-        monkeypatch.setattr(
-            CSRInvertedIndex, "from_shared_memory", classmethod(wrapped)
-        )
-        try:
-            args = (
-                0, r, s, "framework", "csr", ("shm", handle), {},
-                {"no_such_keyword_argument": True},
-            )
-            with pytest.raises(TypeError):
-                _join_chunk(args)
-        finally:
-            handle.cleanup()
-        assert captured, "worker never attached the shared index"
-        assert captured[0]._shms is None, "attachment leaked on the error path"
-
-    def test_close_is_idempotent_and_noop_for_owned_arrays(self):
-        s = SetCollection([(0, 1), (1, 2)])
-        index = CSRInvertedIndex.build(s)
-        values_before = index.values
-        index.close()  # built (non-attached) index: nothing to release
-        index.close()
-        assert index.values is values_before
-
-    def test_attached_close_drops_views(self):
-        s = SetCollection([(0, 1), (1, 2), (0, 2)])
-        handle = CSRInvertedIndex.build(s).to_shared_memory()
-        try:
-            attached = CSRInvertedIndex.from_shared_memory(handle)
-            assert attached.values.shape[0] > 0
-            attached.close()
-            attached.close()  # idempotent
-            assert attached.values.shape[0] == 0
-        finally:
-            handle.cleanup()
-
-    def test_worker_exception_propagates_and_cleans_up(self):
+class TestWorkerErrors:
+    def test_worker_exception_propagates(self):
         r, s = random_instance(5)
         # A deterministic worker error survives the retries, is reproduced
         # by the in-process fallback (announced via the degradation
@@ -420,9 +246,8 @@ class TestWorkerShmCleanup:
                     r, s, method="framework", workers=2, backend="csr",
                     retries=0, no_such_keyword_argument=True,
                 )
-        # The creator-side handle is reclaimed in parallel_join's finally;
-        # a second join against the same data must start from scratch and
-        # succeed, which it cannot if segments or names leaked.
+        # The failed run leaves nothing behind that a second join against
+        # the same data could trip over.
         got = sorted(
             parallel_join(r, s, method="framework", workers=2, backend="csr")
         )

@@ -34,7 +34,6 @@ from repro.core.runlog import (
     ABORTED_NAME,
     COMPLETE_NAME,
     MANIFEST_NAME,
-    SEGMENTS_NAME,
     CancelToken,
     RunLog,
     RunManifest,
@@ -42,6 +41,7 @@ from repro.core.runlog import (
     collection_fingerprint,
 )
 from repro.data.collection import SetCollection
+from repro.data.synthetic import generate_zipf
 from repro.errors import (
     CheckpointError,
     DeadlineExceededError,
@@ -73,7 +73,7 @@ def _shm_entries() -> set:
 
 @pytest.fixture()
 def shm_leak_check():
-    """Assert the test leaves /dev/shm exactly as it found it."""
+    """Assert no shared-memory segment appears: the join path creates none."""
     if not _SHM_DIR.is_dir():
         yield
         return
@@ -380,37 +380,6 @@ class TestKillResumeChaos:
         assert RunLog.open(ckpt).is_complete()
         assert not list(Path(ckpt).glob("*.tmp"))
 
-    def test_killed_generation_reclaims_leaked_segments(
-        self, tmp_path, shm_leak_check
-    ):
-        # A hard-killed driver leaks its /dev/shm segments (nothing runs on
-        # os._exit); the next generation's resume reclaims them by name.
-        seed = 42
-        ckpt = str(tmp_path / "ck")
-        before = _shm_entries()
-        proc = multiprocessing.Process(
-            target=_run_driver_once, args=(seed, ckpt, "*:*:driverkill")
-        )
-        proc.start()
-        proc.join(timeout=60)
-        assert proc.exitcode == CRASH_EXIT_CODE
-        leaked = _shm_entries() - before
-        assert leaked, "expected the killed driver to leak shm segments"
-        assert (Path(ckpt) / SEGMENTS_NAME).is_file()
-
-        reg = MetricsRegistry()
-        with use_registry(reg):
-            r, s = random_instance(seed)
-            pairs = parallel_join(
-                r, s, method="framework", workers=4, backend="csr",
-                checkpoint_dir=ckpt, resume=True,
-            )
-        assert reg.counters["checkpoint.stale_segments"] == len(leaked)
-        assert _shm_entries() - before == set()
-        assert sorted(pairs) == sorted(
-            set_containment_join(r, s, method="framework")
-        )
-
     def test_torn_fault_then_resume_reexecutes_torn_chunk(
         self, tmp_path, shm_leak_check
     ):
@@ -604,6 +573,24 @@ class TestMemoryBudget:
             )
         assert sorted(pairs) == sorted(set_containment_join(r, r, method="lcjoin"))
         assert any("memory budget" in note for note in report.degradations)
+
+    def test_partitioned_method_priced_by_the_index_it_ships(self):
+        # lcjoin repacks per partition, so it ships the python index on
+        # every backend: one 96 B/entry copy per worker, not a shared
+        # 24 B/entry array index. At this budget the python backend runs
+        # one worker; hybrid ships the same index and must get the same cap.
+        data = generate_zipf(cardinality=3000, seed=1)
+        runs = {}
+        for backend in ("python", "hybrid"):
+            with pytest.warns(DegradedExecutionWarning, match="capped at 1 worker"):
+                runs[backend] = parallel_join(
+                    data, data, method="lcjoin", workers=2, backend=backend,
+                    memory_budget=6_870_000, return_report=True,
+                )
+        (py_pairs, py_report), (hy_pairs, hy_report) = runs["python"], runs["hybrid"]
+        assert py_report.workers == hy_report.workers == 1
+        assert py_report.degradations == hy_report.degradations
+        assert sorted(hy_pairs) == sorted(py_pairs)
 
 
 # -- parameter validation ---------------------------------------------------

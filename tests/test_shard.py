@@ -451,19 +451,6 @@ class TestInterruptibleWait:
         interruptible_wait(10.0, deadline_mark=time.monotonic() + 0.05)
         assert time.monotonic() - start < 5.0
 
-    def test_extra_handle_aborts_the_wait(self):
-        recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
-        try:
-            timer = threading.Timer(0.05, send_conn.send, args=(1,))
-            timer.start()
-            start = time.monotonic()
-            interruptible_wait(10.0, extra=(recv_conn,))
-            assert time.monotonic() - start < 5.0
-        finally:
-            timer.cancel()
-            recv_conn.close()
-            send_conn.close()
-
 
 @fork_only
 class TestCancellableBackoff:

@@ -124,179 +124,3 @@ def test_end_to_end_persistence_workflow(tmp_path):
         reloaded, reloaded, method="framework", index=index
     )
     assert sorted(pairs) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
-
-
-# -- hybrid index shared-memory round trip ---------------------------------
-
-
-class TestHybridSharedMemory:
-    def _collection(self):
-        # Element 0 is in every set (dense); the tail elements are sparse.
-        return SetCollection(
-            [[0, i % 7 + 1, i % 11 + 8] for i in range(120)]
-        )
-
-    def test_roundtrip_preserves_bitmap(self):
-        import numpy as np
-
-        from repro.index.storage import HybridInvertedIndex
-
-        hyb = HybridInvertedIndex.build(self._collection())
-        assert hyb.num_dense > 0
-        handle = hyb.to_shared_memory()
-        try:
-            assert handle.kind == "hybrid"
-            attached = HybridInvertedIndex.from_shared_memory(handle)
-            assert np.array_equal(attached.bitmap, hyb.bitmap)
-            assert np.array_equal(attached.dense_ids, hyb.dense_ids)
-            assert np.array_equal(attached.dense_map, hyb.dense_map)
-            assert attached.bitmap_words == hyb.bitmap_words
-            assert attached.offsets.tolist() == hyb.offsets.tolist()
-            # Attached arrays are read-only borrows.
-            with pytest.raises(ValueError):
-                attached.bitmap[0] = 0
-            attached.close()
-        finally:
-            handle.cleanup()
-        handle.cleanup()  # idempotent
-
-    def test_attach_shared_index_dispatches_on_kind(self):
-        from repro.index.storage import (
-            CSRInvertedIndex,
-            HybridInvertedIndex,
-            attach_shared_index,
-        )
-
-        data = self._collection()
-        for index in (CSRInvertedIndex.build(data), HybridInvertedIndex.build(data)):
-            handle = index.to_shared_memory()
-            try:
-                attached = attach_shared_index(handle)
-                assert type(attached) is type(index)
-                attached.close()
-            finally:
-                handle.cleanup()
-
-    def test_hybrid_attach_rejects_csr_handle(self):
-        from repro.errors import InvalidParameterError
-        from repro.index.storage import CSRInvertedIndex, HybridInvertedIndex
-
-        handle = CSRInvertedIndex.build(self._collection()).to_shared_memory()
-        try:
-            with pytest.raises(InvalidParameterError, match="carries"):
-                HybridInvertedIndex.from_shared_memory(handle)
-        finally:
-            handle.cleanup()
-
-    def test_handle_pickle_keeps_kind(self):
-        import pickle
-
-        from repro.index.storage import HybridInvertedIndex
-
-        handle = HybridInvertedIndex.build(self._collection()).to_shared_memory()
-        try:
-            clone = pickle.loads(pickle.dumps(handle))
-            assert clone.kind == "hybrid"
-            assert clone.segments == handle.segments
-        finally:
-            handle.cleanup()
-
-    def test_attached_join_matches_owner(self):
-        from repro.core.framework import framework_join
-        from repro.core.results import PairListSink
-        from repro.index.storage import HybridInvertedIndex
-
-        s = self._collection()
-        r = SetCollection([[0], [0, 1], [0, 1, 8], [3, 9]])
-        hyb = HybridInvertedIndex.build(s)
-        handle = hyb.to_shared_memory()
-        try:
-            attached = HybridInvertedIndex.from_shared_memory(handle)
-            a, b = PairListSink(), PairListSink()
-            framework_join(r, s, a, index=hyb, backend="hybrid")
-            framework_join(r, s, b, index=attached, backend="hybrid")
-            assert a.sorted_pairs() == b.sorted_pairs()
-            attached.close()
-        finally:
-            handle.cleanup()
-
-
-# -- interrupted-run shm hygiene -------------------------------------------
-
-
-_CHILD_SCRIPT = """
-import signal, sys, time
-from repro.data.collection import SetCollection
-from repro.index.storage import CSRInvertedIndex
-
-s = SetCollection([[0, 1, 2], [1, 2], [0, 2, 3]])
-handle = CSRInvertedIndex.build(s).to_shared_memory()
-print(";".join(name for name, __, __ in handle.segments), flush=True)
-time.sleep(60)
-"""
-
-
-class TestInterruptedRunHygiene:
-    """Satellite: segments created by an interrupted run must not leak.
-
-    A SIGKILL leaks by definition (nothing runs — the checkpoint layer's
-    segment list covers that on resume); the storage-level backstop
-    handlers must close the SIGINT/SIGTERM hole.
-    """
-
-    @staticmethod
-    def _spawn_child():
-        import os
-        import subprocess
-        import sys as _sys
-        from pathlib import Path
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.Popen(
-            [_sys.executable, "-u", "-c", _CHILD_SCRIPT],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        line = proc.stdout.readline().decode().strip()
-        names = [n.lstrip("/") for n in line.split(";") if n]
-        assert names, proc.stderr.read().decode() if proc.poll() else line
-        return proc, names
-
-    @staticmethod
-    def _segment_exists(name):
-        from pathlib import Path
-
-        return (Path("/dev/shm") / name).exists()
-
-    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
-    def test_signal_death_cleans_segments(self, signame):
-        import signal
-
-        proc, names = self._spawn_child()
-        assert all(self._segment_exists(n) for n in names)
-        proc.send_signal(getattr(signal, signame))
-        proc.wait(timeout=30)
-        assert proc.returncode != 0
-        leaked = [n for n in names if self._segment_exists(n)]
-        assert not leaked, f"{signame} leaked segments: {leaked}"
-
-    def test_sigkill_still_leaks(self):
-        # The documented residual hole: SIGKILL runs no handlers, so the
-        # segments survive the process. (Resume-time reclamation in
-        # core/runlog.py is the layer that closes this one.)
-        import signal
-        from multiprocessing import shared_memory
-
-        proc, names = self._spawn_child()
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
-        leaked = [n for n in names if self._segment_exists(n)]
-        try:
-            assert leaked == names
-        finally:
-            for name in leaked:
-                seg = shared_memory.SharedMemory(name=name)
-                try:
-                    seg.unlink()
-                finally:
-                    seg.close()

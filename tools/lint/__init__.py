@@ -2,11 +2,11 @@
 
 The algorithms in :mod:`repro` are only correct under invariants the code
 cannot express locally — inverted lists stay sorted after freeze, the CSR
-arrays are immutable once built, shared-memory segments are released on
-every path, and the batched kernels never fall back to scalar Python loops
+arrays are immutable once built, acquired resources are released on every
+path, and the batched kernels never fall back to scalar Python loops
 without saying so. This package walks the source tree with :mod:`ast` and
 enforces those invariants *statically*, so a violation fails CI instead of
-surfacing as a silently-wrong join or a leaked ``/dev/shm`` segment.
+surfacing as a silently-wrong join or a leaked file descriptor.
 
 Two kinds of checks run. *File* checkers see one :class:`LintedFile` at a
 time; *project* checkers see the whole parsed tree at once — a symbol
@@ -22,8 +22,6 @@ code      checker               invariant
 ========  ====================  ==============================================
 RL101     frozen-mutation       frozen index storage is never mutated outside
                                 the builder modules
-RL201     shm-lifecycle         every ``SharedMemory`` creation is paired with
-                                ``close()``/``unlink()`` on a cleanup path
 RL301     hot-loop              no scalar Python loops or comprehensions in
                                 hot-path modules unless marked
                                 ``# lint: scalar-fallback``

@@ -16,7 +16,6 @@ from .fork_signal_safety import CHECKER as FORK_SIGNAL_SAFETY
 from .frozen_mutation import CHECKER as FROZEN_MUTATION
 from .hot_loops import CHECKER as HOT_LOOPS
 from .resource_flow import CHECKER as RESOURCE_FLOW
-from .shm_lifecycle import CHECKER as SHM_LIFECYCLE
 from .span_names import CHECKER as SPAN_NAMES
 
 __all__ = ["ALL_CHECKERS", "ALL_PROJECT_CHECKERS", "EVERY_CHECKER"]
@@ -24,7 +23,6 @@ __all__ = ["ALL_CHECKERS", "ALL_PROJECT_CHECKERS", "EVERY_CHECKER"]
 #: Per-file checkers (run on one parsed file at a time; cacheable).
 ALL_CHECKERS: tuple[Checker, ...] = (
     FROZEN_MUTATION,
-    SHM_LIFECYCLE,
     HOT_LOOPS,
     BACKEND_PARITY,
     SPAN_NAMES,

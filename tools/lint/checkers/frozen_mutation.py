@@ -5,7 +5,7 @@ lists, and the CSR backend goes further: ``offsets``/``values``/``keyed``
 must stay exactly as built or the globally-sorted composite-key invariant
 (one ``searchsorted`` answering any probe batch) silently breaks. The only
 code allowed to write those structures is the pair of builder modules —
-``index/storage.py`` (CSR construction/attach) and ``index/inverted.py``
+``index/storage.py`` (CSR construction and unpickling) and ``index/inverted.py``
 (sequential build and monotone ``append_set``).
 
 Everywhere else this checker flags, on any expression rooted at one of the

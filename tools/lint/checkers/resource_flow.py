@@ -1,13 +1,11 @@
 """RL702 — acquired resources reach their release on every CFG path.
 
-RL201 answers "is this ``SharedMemory`` wrapped in the blessed syntactic
-patterns?"; RL702 answers the question that actually matters: *starting
-from the acquisition, does every control-flow path release the resource
-before the function can exit?* It runs on the statement-level CFG from
-:mod:`tools.lint.cfg`, so early returns, loop breaks, and exception
-edges inside ``try`` bodies are all real paths — the class of leak the
-old heuristic could never see (a pipe fd closed on one branch and
-returned-but-forgotten on the other).
+RL702 answers one question: *starting from the acquisition, does every
+control-flow path release the resource before the function can exit?*
+It runs on the statement-level CFG from :mod:`tools.lint.cfg`, so early
+returns, loop breaks, and exception edges inside ``try`` bodies are all
+real paths — the class of leak a syntactic pattern check cannot see (a
+pipe fd closed on one branch and returned-but-forgotten on the other).
 
 Tracked acquisitions (simple-name assignment targets only — a resource
 stored straight into ``self.x`` belongs to the object's lifecycle, not
@@ -22,7 +20,6 @@ acquired by                  released by
 ``tempfile.mkstemp(...)``    ``os.close(fd)`` for the fd element
 ``open(path, "w"/"a"/...)``  ``name.close()`` (write modes only — read
                              handles leak nothing durable)
-``x.to_shared_memory(...)``  ``name.cleanup()`` or ``name.close()``
 ===========================  ============================================
 
 Ownership transfers end tracking on that path: returning or yielding the
@@ -72,7 +69,7 @@ _WRITE_MODE_CHARS = frozenset("wax+")
 @dataclass(frozen=True)
 class _Resource:
     name: str
-    kind: str  #: "shm" | "fd" | "file" | "handle"
+    kind: str  #: "shm" | "fd" | "file"
     release_hint: str
     acquire: ast.stmt
 
@@ -119,8 +116,6 @@ def _acquisitions(stmt: ast.stmt) -> Iterator[_Resource]:
             yield _Resource(target.id, "fd", "os.close()", stmt)
         elif chain == "open" and _is_write_open(value):
             yield _Resource(target.id, "file", "close()", stmt)
-        elif tail == "to_shared_memory":
-            yield _Resource(target.id, "handle", "cleanup()", stmt)
     elif isinstance(target, ast.Tuple):
         names = [
             el.id if isinstance(el, ast.Name) else None for el in target.elts
@@ -162,10 +157,7 @@ def _releases(stmt: ast.stmt, res: _Resource) -> bool:
                 isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
                 and func.value.id == res.name
-                and (
-                    func.attr == "close"
-                    or (res.kind in ("handle", "shm") and func.attr == "cleanup")
-                )
+                and func.attr == "close"
             ):
                 return True
     return False
