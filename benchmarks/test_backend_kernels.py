@@ -1,21 +1,22 @@
 """Backend shoot-out: every registered index backend, head to head.
 
-Same algorithm, same pair set, three array layouts: the paper-faithful
-``bisect``-over-Python-lists loop, the contiguous numpy CSR index probed
-by one composite-key ``searchsorted`` per superstep, and the hybrid
-bitmap+CSR index that routes each probe through its list's representation
-(:mod:`repro.index.kernels`). The grid is driven by the
-:data:`repro.core.api.BACKENDS` registry, so a newly registered backend
-joins the comparison (and gets a speedup gate) by adding one entry to
-``MIN_SPEEDUP`` below.
+Same algorithm, same pair set, two layouts: the paper-faithful
+``bisect``-over-Python-lists loop, and the array index (numpy CSR arrays
+plus bitmap rows for the densest lists) whose superstep kernel routes each
+probe through its list's representation (:mod:`repro.index.kernels`). The
+grid is driven by the :data:`repro.core.api.BACKENDS` registry, so a newly
+registered backend joins the comparison (and gets a speedup gate) by
+adding one entry to ``MIN_SPEEDUP`` below.
 
 Two workload families:
 
 * the Fig-9 AOL surrogate (uniform-ish query log) in the paper's counting
-  mode — where the hybrid backend must merely not regress against CSR
-  (density does not pay on uniform data);
-* a Zipf z-sweep — where the dense lists dominate every probe and the
-  bitmap representation must pay off, ``>= 2x`` over CSR at ``z = 1``.
+  mode — where the array backend must beat the python loop by ``>= 2x``;
+* a Zipf z-sweep of the array kernel on the same index with and without
+  bitmap rows (``max_dense=0``), both prebuilt so only the join is timed —
+  where the dense lists dominate every probe and the bitmap rows must pay
+  off, ``>= 2x`` over the no-bitmap index at ``z = 1``, and not regress at
+  ``z = 0.5``.
 
 Emits ``benchmarks/results/BENCH_backends.json`` (AOL grid) and
 ``benchmarks/results/BENCH_hybrid.json`` (z-sweep) with the gates
@@ -31,6 +32,7 @@ import pytest
 
 from repro.core.api import BACKENDS
 from repro.data.realworld import generate_real_world
+from repro.index.storage import HybridInvertedIndex
 
 from conftest import bench_scale, measured_run, synthetic_dataset
 
@@ -41,21 +43,21 @@ AOL_SCALE = 0.001  # Fig 9's smallest sweep point
 #: grid. A backend missing from this table runs unconstrained (recorded
 #: but not gated) — add a floor when registering a new backend.
 MIN_SPEEDUP = {
-    ("csr", "python"): 2.0,
     ("hybrid", "python"): 2.0,
-    ("hybrid", "csr"): 0.9,  # no-regression floor where density doesn't pay
 }
 
-#: The z-sweep (method "framework", self join). Only the array backends
-#: run here — the pure-Python loop would take minutes on these shapes, so
-#: it is deliberately excluded (the AOL grid above covers it).
-ZIPF_BACKENDS = ("csr", "hybrid")
+#: The z-sweep (method "framework", self join, backend "hybrid"): the
+#: array index as built by default against the same index built with
+#: ``max_dense=0`` (no bitmap rows). The pure-Python loop would take
+#: minutes on these shapes, so it is deliberately excluded (the AOL grid
+#: above covers it).
+ZIPF_LAYOUTS = {"no_bitmap": {"max_dense": 0}, "bitmap": {}}
 ZIPF_WORKLOADS = {
     0.5: dict(cardinality=20_000, avg_set_size=24, num_elements=5_000, seed=1),
     1.0: dict(cardinality=40_000, avg_set_size=24, num_elements=5_000, seed=1),
 }
-#: hybrid-over-CSR floors per z: the tentpole claim at z = 1, and a
-#: no-regression floor at moderate skew.
+#: bitmap-over-no-bitmap floors per z: the bitmap rows' claim at z = 1,
+#: and a no-regression floor at moderate skew.
 ZIPF_MIN_SPEEDUP = {0.5: 1.0, 1.0: 2.0}
 
 _dataset = {}
@@ -148,43 +150,46 @@ def test_backend_speedup_and_report(benchmark):
             )
 
 
-# -- Zipf z-sweep: where the hybrid representation must pay off ------------
+# -- Zipf z-sweep: where the bitmap rows must pay off ----------------------
 
 
-@pytest.mark.parametrize("backend", ZIPF_BACKENDS)
+@pytest.mark.parametrize("layout", sorted(ZIPF_LAYOUTS))
 @pytest.mark.parametrize("z", sorted(ZIPF_WORKLOADS))
-def test_zipf_cell(benchmark, z, backend):
+def test_zipf_cell(benchmark, z, layout):
     data = synthetic_dataset(z=z, **ZIPF_WORKLOADS[z])
+    index = HybridInvertedIndex.build(data, **ZIPF_LAYOUTS[layout])
     m = measured_run(
         "hybrid_zipf", benchmark, "framework", data,
-        workload=f"zipf-z{z}-{backend}",
-        backend=backend,
+        workload=f"zipf-z{z}-{layout}",
+        backend="hybrid", index=index,
     )
-    _zipf_cells[(z, backend)] = m
+    _zipf_cells[(z, layout)] = (m, index.num_dense)
     assert m.results > 0
 
 
 def test_hybrid_zipf_speedup_and_report(benchmark):
-    """The tentpole gate: on heavy skew (z = 1) nearly every probe lands
-    on a dense list, and the bitmap rows must beat CSR's binary searches
-    by ``>= 2x`` end-to-end. Written to BENCH_hybrid.json."""
+    """The bitmap gate: on heavy skew (z = 1) nearly every probe lands on
+    a dense list, and the bitmap rows must beat the same kernel on the
+    no-bitmap index by ``>= 2x``. Written to BENCH_hybrid.json."""
     for z in ZIPF_WORKLOADS:
-        for backend in ZIPF_BACKENDS:
-            if (z, backend) not in _zipf_cells:
+        for layout in ZIPF_LAYOUTS:
+            if (z, layout) not in _zipf_cells:
                 pytest.skip("cells did not run")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     records = []
     speedups = {}
     for z in sorted(ZIPF_WORKLOADS):
-        csr = _zipf_cells[(z, "csr")]
-        hyb = _zipf_cells[(z, "hybrid")]
-        assert csr.results == hyb.results
-        speedups[z] = csr.elapsed_seconds / hyb.elapsed_seconds
-        for m, backend in ((csr, "csr"), (hyb, "hybrid")):
+        plain, __ = _zipf_cells[(z, "no_bitmap")]
+        hyb, __ = _zipf_cells[(z, "bitmap")]
+        assert plain.results == hyb.results
+        speedups[z] = plain.elapsed_seconds / hyb.elapsed_seconds
+        for layout in sorted(ZIPF_LAYOUTS):
+            m, num_dense = _zipf_cells[(z, layout)]
             records.append(
                 {
-                    "backend": backend,
+                    "layout": layout,
+                    "dense_lists": num_dense,
                     "z": z,
                     "workload": m.workload,
                     "num_sets": m.num_r,
@@ -200,13 +205,14 @@ def test_hybrid_zipf_speedup_and_report(benchmark):
         "figure": "hybrid_zipf",
         "dataset": "zipf-sweep",
         "method": "framework",
+        "backend": "hybrid",
         "scale": bench_scale(),
-        "backends": list(ZIPF_BACKENDS),
+        "layouts": sorted(ZIPF_LAYOUTS),
         "min_speedup_required": {
-            f"hybrid_over_csr:z={z}": floor
+            f"bitmap_over_no_bitmap:z={z}": floor
             for z, floor in ZIPF_MIN_SPEEDUP.items()
         },
-        "speedup_hybrid_over_csr": {
+        "speedup_bitmap_over_no_bitmap": {
             f"z={z}": round(v, 2) for z, v in speedups.items()
         },
         "cells": records,
@@ -215,9 +221,10 @@ def test_hybrid_zipf_speedup_and_report(benchmark):
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print(f"\n[benchmarks] wrote hybrid z-sweep to {path}")
-    print(f"speedups: {report['speedup_hybrid_over_csr']}")
+    print(f"speedups: {report['speedup_bitmap_over_no_bitmap']}")
 
     for z, floor in ZIPF_MIN_SPEEDUP.items():
         assert speedups[z] >= floor, (
-            f"hybrid only {speedups[z]:.2f}x vs csr at z={z} (floor {floor}x)"
+            f"bitmap rows only {speedups[z]:.2f}x vs no bitmap rows at "
+            f"z={z} (floor {floor}x)"
         )

@@ -118,12 +118,12 @@ def test_publish_at_scale(benchmark):
 
 
 def test_point_query_latency(benchmark):
-    """Superset point queries against the incremental CSR index."""
+    """Superset point queries against the incremental index."""
     data = synthetic_dataset(**QUERY_PARAMS)
     rng = random.Random(3)
 
     def job():
-        index = IncrementalIndex(data, backend="csr")
+        index = IncrementalIndex(data)
         probes = [list(data.records[rng.randrange(len(data))])
                   for _ in range(MEASURED + WARMUP)]
         hits = [0]

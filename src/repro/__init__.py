@@ -37,7 +37,7 @@ from .faults import FaultPlan
 from .index.inverted import InvertedIndex
 from .obs import MetricsRegistry, trace_span, use_registry
 from .index.prefix_tree import PrefixTree
-from .index.storage import CSRInvertedIndex
+from .index.storage import HybridInvertedIndex
 
 __version__ = "1.0.0"
 
@@ -50,7 +50,7 @@ __all__ = [
     "SetCollection",
     "ElementDictionary",
     "InvertedIndex",
-    "CSRInvertedIndex",
+    "HybridInvertedIndex",
     "PrefixTree",
     "GlobalOrder",
     "build_order",

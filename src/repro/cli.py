@@ -51,11 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_join.add_argument("--method", default="lcjoin", choices=join_methods())
     p_join.add_argument("--backend", default="python", choices=BACKENDS,
-                        help="index representation: python (bisect loops), "
-                        "csr (batched numpy kernels), or hybrid (csr plus "
-                        "bitmap rows for dense lists and galloping for "
-                        "sparse ones — fastest on skewed data); identical "
-                        "results either way")
+                        help="index representation: python (bisect loops) "
+                        "or hybrid (numpy CSR arrays plus bitmap rows for "
+                        "dense lists, probed by the batched kernel); "
+                        "identical results either way")
     p_join.add_argument("--tokens", action="store_true",
                         help="treat tokens as strings instead of integers")
     p_join.add_argument("--count-only", action="store_true",
@@ -178,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP bind host (with --port)")
     p_serve.add_argument("--port", type=int, default=None,
                          help="serve on TCP host:port (0 picks a free port)")
-    p_serve.add_argument("--backend", default="csr", choices=["csr", "hybrid"],
-                         help="resident index representation")
     p_serve.add_argument("--compact-ratio", type=float, default=0.5,
                          help="tombstone fraction that triggers compaction")
     p_serve.add_argument("--delta-ratio", type=float, default=0.25,
@@ -470,7 +467,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             state: ServeState = DurableServeState(
                 s_collection,
                 data_dir=args.data_dir,
-                backend=args.backend,
                 compact_ratio=args.compact_ratio,
                 delta_ratio=args.delta_ratio,
                 memory_budget=args.memory_budget,
@@ -484,7 +480,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             state = ServeState(
                 s_collection,
-                backend=args.backend,
                 compact_ratio=args.compact_ratio,
                 delta_ratio=args.delta_ratio,
                 memory_budget=args.memory_budget,

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Registered array backends for the index layer.
-BACKENDS = ("python", "csr", "hybrid")
+BACKENDS = ("python", "hybrid")
 
 #: Methods that probe through the inverted index and therefore understand
 #: the ``backend=`` parameter. The partitioned methods repack their
@@ -129,14 +129,13 @@ def set_containment_join(
         wall-clock time is always recorded into ``stats.elapsed_seconds``.
     backend:
         ``"python"`` (default — the paper-faithful ``bisect`` loops over
-        Python lists), ``"csr"`` — the contiguous numpy layout probed by
-        the batched kernels in :mod:`repro.index.kernels` — or
-        ``"hybrid"`` — CSR plus uint64 bitmap rows for the densest lists
-        and a batched galloping search for the sparse ones (fastest on
-        skewed workloads). All produce the identical pair set; the array
-        backends are supported by the index-probing methods
-        (``framework``, ``framework_et``, ``tree``, ``tree_et``,
-        ``all_partition``, ``lcjoin``) and raise
+        Python lists) or ``"hybrid"`` — the array index
+        (:class:`~repro.index.storage.HybridInvertedIndex`: contiguous
+        numpy CSR arrays plus uint64 bitmap rows for the densest lists)
+        probed by the batched kernel in :mod:`repro.index.kernels`. Both
+        produce the identical pair set. The array backend is supported
+        by the index-probing methods (``framework``, ``framework_et``,
+        ``tree``, ``tree_et``, ``all_partition``, ``lcjoin``) and raises
         :class:`~repro.errors.InvalidParameterError` elsewhere.
     workers:
         When set, the join runs through the supervised multiprocess driver

@@ -29,11 +29,11 @@ from ..obs.spans import trace_span
 from .stats import JoinStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (storage imports lazily)
-    from ..index.storage import CSRInvertedIndex
+    from ..index.storage import HybridInvertedIndex
     from .results import PairSink
 
 #: What the probing methods accept as a prebuilt superset-side index.
-IndexLike = Union[InvertedIndex, "CSRInvertedIndex"]
+IndexLike = Union[InvertedIndex, "HybridInvertedIndex"]
 
 __all__ = ["framework_join", "cross_cut_record"]
 
@@ -122,41 +122,29 @@ def framework_join(
     Pass a prebuilt ``index`` to amortise index construction across runs
     (the benchmark harness measures it separately).
 
-    ``backend="csr"`` runs the same algorithm on the numpy CSR layout via
-    the batched superstep kernel (:mod:`repro.index.kernels`): identical
-    pair set, emitted round-major instead of record-major. On that backend
-    early termination is subsumed by batch probing (see the kernel module
-    docstring), and ``index`` may be a prebuilt
-    :class:`~repro.index.storage.CSRInvertedIndex` (a plain
-    ``InvertedIndex`` is repacked on the fly). ``backend="hybrid"`` adds
-    per-representation probe routing on top — dense lists through bitmap
-    rows, sparse lists through the batched gallop — still with the
-    identical pair set (a CSR index is promoted in place when passed).
+    ``backend="hybrid"`` runs the same algorithm on the array index via
+    the batched superstep kernel (:mod:`repro.index.kernels`) — dense lists
+    probed through bitmap rows, sparse lists through the batched gallop —
+    with the identical pair set, emitted round-major instead of
+    record-major. On that backend early termination is subsumed by batch
+    probing (see the kernel module docstring), and ``index`` may be a
+    prebuilt :class:`~repro.index.storage.HybridInvertedIndex` (a plain
+    ``InvertedIndex`` is repacked on the fly).
     """
-    if backend in ("csr", "hybrid"):
-        from ..index.kernels import (
-            cross_cut_collection_csr,
-            cross_cut_collection_hybrid,
-        )
-        from ..index.storage import CSRInvertedIndex, HybridInvertedIndex
+    if backend == "hybrid":
+        from ..index.kernels import cross_cut_collection_hybrid
+        from ..index.storage import HybridInvertedIndex
 
-        want = HybridInvertedIndex if backend == "hybrid" else CSRInvertedIndex
         if index is None:
             with trace_span("index.build"):
-                index = want.build(s_collection)
+                index = HybridInvertedIndex.build(s_collection)
             if stats is not None:
                 stats.index_build_tokens += index.construction_cost
         elif isinstance(index, InvertedIndex):
             with trace_span("index.csr_pack"):
-                index = want.from_index(index)
-        elif backend == "hybrid" and not isinstance(index, HybridInvertedIndex):
-            with trace_span("index.hybrid_pack"):
-                index = HybridInvertedIndex.from_csr(index)
+                index = HybridInvertedIndex.from_index(index)
         with trace_span("probe.loop"):
-            if isinstance(index, HybridInvertedIndex):
-                cross_cut_collection_hybrid(r_collection, index, sink, stats)
-            else:
-                cross_cut_collection_csr(r_collection, index, sink, stats)
+            cross_cut_collection_hybrid(r_collection, index, sink, stats)
         return
     if index is None:
         with trace_span("index.build"):

@@ -12,11 +12,10 @@ and, for the tree/partition methods, the frequency
 job factory the node receives when it starts. Under the fork start method
 that is copy-on-write memory: no copy, no pickling. Elsewhere the factory
 is pickled once per node, never per job. The array-probing methods get
-the array index (:class:`~repro.index.storage.CSRInvertedIndex` or its
-bitmap-carrying :class:`~repro.index.storage.HybridInvertedIndex`
-subclass); the partitioned methods build *local* indexes per partition,
-so they take the python :class:`~repro.index.inverted.InvertedIndex`
-whatever the backend and repack in-worker.
+the array index (:class:`~repro.index.storage.HybridInvertedIndex`); the
+partitioned methods build *local* indexes per partition, so they take the
+python :class:`~repro.index.inverted.InvertedIndex` whatever the backend
+and repack in-worker.
 
 Chunking follows the paper's partitioning (§V) for the four methods that
 run over the global order (``tree``, ``tree_et``, ``all_partition``,
@@ -82,7 +81,7 @@ from ..data.collection import SetCollection
 from ..errors import DegradedExecutionWarning, InvalidParameterError
 from ..faults import FaultPlan
 from ..index.inverted import InvertedIndex
-from ..index.storage import CSRInvertedIndex, HybridInvertedIndex
+from ..index.storage import HybridInvertedIndex
 from ..memory.meter import collection_footprint
 from ..obs.registry import active_or_null
 from .api import BACKEND_METHODS, BACKENDS, join_into
@@ -114,9 +113,9 @@ _INDEX_METHODS = frozenset(
     {"framework", "framework_et", "tree", "tree_et", "all_partition", "lcjoin"}
 )
 #: The subset of those that probe the global index directly and therefore
-#: consume an array (CSR/hybrid) ``index=`` as-is. The partitioned methods
-#: need the python index API (anchor lists, ``build_local``) and repack
-#: per partition, so they always ship the python index.
+#: consume an array ``index=`` as-is. The partitioned methods need the
+#: python index API (anchor lists, ``build_local``) and repack per
+#: partition, so they always ship the python index.
 _ARRAY_INDEX_METHODS = frozenset({"framework", "framework_et", "tree", "tree_et"})
 #: Methods that accept a prebuilt global ``order=`` as well.
 _ORDER_METHODS = frozenset({"tree", "tree_et", "all_partition", "lcjoin"})
@@ -229,26 +228,25 @@ def build_method_index(
     s_collection: SetCollection,
     method: str,
     backend: str,
-    index: Optional[Union[InvertedIndex, CSRInvertedIndex]] = None,
-) -> Optional[Union[InvertedIndex, CSRInvertedIndex]]:
+    index: Optional[Union[InvertedIndex, HybridInvertedIndex]] = None,
+) -> Optional[Union[InvertedIndex, HybridInvertedIndex]]:
     """The superset-side index this ``(method, backend)`` pair consumes.
 
     One decision point shared by the driver (which builds once and ships
     the result to every worker) and by shard nodes (which build their own
     copy in-process — sharded runs share no memory across nodes). The
-    array-probing methods take the CSR/hybrid index directly; the
+    array-probing methods take the array index directly; the
     partitioned methods need the python index API (anchor lists,
     ``build_local``) whatever the backend and repack per partition; the
     baselines build their own structures and take no index at all. A
     caller-provided ``index`` is converted when the backend needs the
     array form, and passed through otherwise.
     """
-    if _uses_array_index(method, backend):
-        cls = HybridInvertedIndex if backend == "hybrid" else CSRInvertedIndex
+    if _uses_array_index(method, backend=backend):
         if index is None:
-            return cls.build(s_collection)
+            return HybridInvertedIndex.build(s_collection)
         if isinstance(index, InvertedIndex):
-            return cls.from_index(index)
+            return HybridInvertedIndex.from_index(index)
         return index
     if index is None and method in _INDEX_METHODS:
         return InvertedIndex.build(s_collection)
@@ -256,7 +254,7 @@ def build_method_index(
 
 
 def _uses_array_index(method: str, backend: str) -> bool:
-    """Whether ``(method, backend)`` probes the array (CSR/hybrid) index.
+    """Whether ``(method, backend)`` probes the array index.
 
     The one decision behind both :func:`build_method_index` and the
     memory-admission price of the index (:func:`_admit_memory`).
@@ -302,7 +300,7 @@ class _ChunkJobs(NamedTuple):
     s_collection: SetCollection
     method: str
     backend: str
-    index: Optional[Union[InvertedIndex, CSRInvertedIndex]]
+    index: Optional[Union[InvertedIndex, HybridInvertedIndex]]
     extra: Dict[str, Any]
     kwargs: Dict[str, Any]
 
@@ -439,7 +437,7 @@ def parallel_join(
     workers: Optional[int] = None,
     backend: str = "python",
     strategy: Optional[str] = None,
-    index: Optional[Union[InvertedIndex, CSRInvertedIndex]] = None,
+    index: Optional[Union[InvertedIndex, HybridInvertedIndex]] = None,
     retries: int = 2,
     task_timeout: Optional[float] = None,
     backoff: float = 0.05,

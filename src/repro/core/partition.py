@@ -76,16 +76,15 @@ def _pack_index(index: InvertedIndex, backend: str):
 
     Local partition indexes are small, so the pack cost is the same order
     as the local build the partition already paid; the traversal then
-    probes zero-copy numpy views (and, for ``hybrid``, carries bitmap rows
-    usable by any flat-probing consumer of the same index).
+    probes zero-copy numpy views (and carries bitmap rows usable by any
+    flat-probing consumer of the same index).
     """
     if backend == "python":
         return index
-    from ..index.storage import CSRInvertedIndex, HybridInvertedIndex
+    from ..index.storage import HybridInvertedIndex
 
-    cls = HybridInvertedIndex if backend == "hybrid" else CSRInvertedIndex
     with trace_span("index.csr_pack"):
-        return cls.from_index(index)
+        return HybridInvertedIndex.from_index(index)
 
 
 def partition_sizes(tree: PrefixTree) -> List[Tuple[int, int, TreeNode]]:
@@ -149,7 +148,7 @@ def all_partition_join(
     """``AllPartition`` (§V-A): every partition gets a local inverted index.
 
     ``backend`` selects the probe-side index representation for each
-    partition-local join (``"csr"``/``"hybrid"`` repack the local index;
+    partition-local join (``"hybrid"`` repacks the local index;
     results are identical across backends).
     """
     __, index, tree = _prepare(r_collection, s_collection, order, index, tree, stats)

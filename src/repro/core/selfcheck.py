@@ -21,13 +21,12 @@ asserts at the structural seams:
 
 * every inverted list is strictly ascending and bounded by ``inf_sid``
   after a build (:func:`check_sorted_lists`);
-* the CSR arrays are monotone and mutually consistent after a build
-  (:func:`check_csr_layout`);
-* the hybrid backend's bitmap rows reconstruct bit-exactly to their CSR
-  value slices and the dense routing tables are mutually inverse
-  (:func:`check_hybrid_layout`);
-* array-backend joins (``backend="csr"`` or ``"hybrid"``) on small
-  instances are spot-checked against the Python backend pair set
+* the array index's CSR arrays are monotone and mutually consistent
+  after a build, its bitmap rows reconstruct bit-exactly to their CSR
+  value slices and its dense routing tables are mutually inverse
+  (:func:`check_array_layout`);
+* array-backend joins (``backend="hybrid"``) on small instances are
+  spot-checked against the Python backend pair set
   (:func:`crosscheck_backends`).
 
 Violations raise :class:`~repro.errors.InvariantViolation`. The checks are
@@ -54,8 +53,7 @@ __all__ = [
     "self_check",
     "repro_check_enabled",
     "check_sorted_lists",
-    "check_csr_layout",
-    "check_hybrid_layout",
+    "check_array_layout",
     "crosscheck_backends",
 ]
 
@@ -101,13 +99,20 @@ def check_sorted_lists(index) -> None:
             raise InvariantViolation("index universe is not strictly ascending")
 
 
-def check_csr_layout(index) -> None:
-    """Assert the CSR arrays of a ``CSRInvertedIndex`` are consistent.
+def check_array_layout(index) -> None:
+    """Assert the arrays of a ``HybridInvertedIndex`` are consistent.
 
-    Checks: ``offsets`` monotone nondecreasing from 0 to ``len(values)``;
-    ``keyed`` globally nondecreasing (which implies every per-list slice of
-    ``values`` is sorted, since lists occupy disjoint key ranges); postings
-    within ``[0, stride)`` so composite keys cannot collide across lists.
+    CSR checks: ``offsets`` monotone nondecreasing from 0 to
+    ``len(values)``; ``keyed`` globally nondecreasing (which implies every
+    per-list slice of ``values`` is sorted, since lists occupy disjoint
+    key ranges); postings within ``[0, stride)`` so composite keys cannot
+    collide across lists.
+
+    Bitmap checks: ``dense_ids`` strictly ascending and in-range,
+    ``dense_map`` its exact inverse, ``bitmap_words`` sized to
+    ``inf_sid``, and every bitmap row reconstructing bit-for-bit to the
+    element's CSR ``values`` slice (unpacked little-endian, the layout the
+    probe kernel assumes).
     """
     import numpy as np
 
@@ -134,21 +139,6 @@ def check_csr_layout(index) -> None:
                 "CSR postings fall outside [0, stride); composite keys "
                 "would collide across lists"
             )
-
-
-def check_hybrid_layout(index) -> None:
-    """Assert the dense-side structures of a ``HybridInvertedIndex``.
-
-    On top of the CSR checks (which still apply — the hybrid index keeps
-    the full CSR arrays): ``dense_ids`` strictly ascending and in-range,
-    ``dense_map`` its exact inverse, ``bitmap_words`` sized to ``inf_sid``,
-    and every bitmap row reconstructing bit-for-bit to the element's CSR
-    ``values`` slice (unpacked little-endian, the layout the probe kernels
-    assume).
-    """
-    import numpy as np
-
-    check_csr_layout(index)
     dense_ids = index.dense_ids
     words = index.bitmap_words
     if words != (index.inf_sid + 63) >> 6:
@@ -186,7 +176,7 @@ def check_hybrid_layout(index) -> None:
 
 
 def crosscheck_backends(
-    r_collection, s_collection, pairs, method: str, backend: str = "csr"
+    r_collection, s_collection, pairs, method: str, backend: str = "hybrid"
 ) -> None:
     """Spot-check an array-backend pair set against the Python backend.
 

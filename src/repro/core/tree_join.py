@@ -325,7 +325,7 @@ def run_tree_join(
             rounds += 1
             postorder_traverse(root, first_sid, inf_sid, early_termination, stats)
             # int() keeps emitted sids plain Python ints even when the bound
-            # lists are numpy views (CSR backend hands back numpy scalars).
+            # lists are numpy views (the array backend hands back numpy scalars).
             sid = int(root.max_sid)
             if sid < inf_sid and root.rid_list:
                 sink.add_rids(root.rid_list, sid)
@@ -355,33 +355,30 @@ def tree_join(
     prefix tree on ``R`` unless prebuilt ones are supplied, then runs
     Algorithm 2. ``patricia=True`` path-compresses the tree first (§IV-A).
 
-    ``backend="csr"`` binds the tree against a
-    :class:`~repro.index.storage.CSRInvertedIndex`: node lists become
+    ``backend="hybrid"`` binds the tree against a
+    :class:`~repro.index.storage.HybridInvertedIndex`: node lists become
     zero-copy numpy views over one contiguous postings array, which is what
-    allows a parallel driver to share a single index across workers. The
-    traversal itself is unchanged (it is inherently pointer-chasing; the
-    vectorized wins live in the flat framework — see docs/internals.md).
-    ``backend="hybrid"`` behaves identically here — the traversal probes
-    through ``get_list`` views either way — but accepts and shares the
-    hybrid index so one build can serve both tree and framework runs.
+    allows a parallel driver to share a single index across workers, and
+    one build can serve both tree and framework runs. The traversal itself
+    is unchanged (it is inherently pointer-chasing and probes through
+    ``get_list`` views; the vectorized wins live in the flat framework —
+    see docs/internals.md).
     """
     if index is None:
         with trace_span("index.build"):
-            if backend in ("csr", "hybrid"):
-                from ..index.storage import CSRInvertedIndex, HybridInvertedIndex
+            if backend == "hybrid":
+                from ..index.storage import HybridInvertedIndex
 
-                cls = HybridInvertedIndex if backend == "hybrid" else CSRInvertedIndex
-                index = cls.build(s_collection)
+                index = HybridInvertedIndex.build(s_collection)
             else:
                 index = InvertedIndex.build(s_collection)
         if stats is not None:
             stats.index_build_tokens += index.construction_cost
-    elif backend in ("csr", "hybrid") and isinstance(index, InvertedIndex):
-        from ..index.storage import CSRInvertedIndex, HybridInvertedIndex
+    elif backend == "hybrid" and isinstance(index, InvertedIndex):
+        from ..index.storage import HybridInvertedIndex
 
-        cls = HybridInvertedIndex if backend == "hybrid" else CSRInvertedIndex
         with trace_span("index.csr_pack"):
-            index = cls.from_index(index)
+            index = HybridInvertedIndex.from_index(index)
     if order is None:
         universe = max(r_collection.max_element(), s_collection.max_element()) + 1
         with trace_span("order.build"):

@@ -1,17 +1,16 @@
-"""Index substrates: inverted index, CSR array backend, prefix/Patricia tree,
+"""Index substrates: inverted index, array index, prefix/Patricia tree,
 search primitives and their batched numpy counterparts."""
 
 from .inverted import InvertedIndex
 from .kernels import (
     batch_first_geq,
     batch_gap_lookup,
-    cross_cut_collection_csr,
-    cross_cut_record_csr,
+    cross_cut_collection_hybrid,
 )
 from .prefix_tree import IncrementalPrefixTree, PrefixTree, TreeNode, TrieSnapshot
 from .storage import (
-    CSRInvertedIndex,
     DeltaSegment,
+    HybridInvertedIndex,
     IncrementalIndex,
     IndexSnapshot,
     load_collection_binary,
@@ -32,7 +31,7 @@ from .search import (
 
 __all__ = [
     "InvertedIndex",
-    "CSRInvertedIndex",
+    "HybridInvertedIndex",
     "DeltaSegment",
     "IncrementalIndex",
     "IndexSnapshot",
@@ -54,6 +53,5 @@ __all__ = [
     "is_sorted_strict",
     "batch_first_geq",
     "batch_gap_lookup",
-    "cross_cut_record_csr",
-    "cross_cut_collection_csr",
+    "cross_cut_collection_hybrid",
 ]

@@ -1,53 +1,39 @@
-"""Batched numpy kernels for the CSR inverted-index backend.
+"""The batched numpy superstep kernel over the array index.
 
 The pure-Python cross-cutting loop (:func:`repro.core.framework.cross_cut_record`)
 pays interpreter overhead per ``bisect_left`` call — one probe, one Python
-frame. These kernels recover the batching headroom the paper's C++
-implementation gets for free, using the CSR layout of
-:class:`repro.index.storage.CSRInvertedIndex`:
+frame. This module recovers the batching headroom the paper's C++
+implementation gets for free, using the layout of
+:class:`repro.index.storage.HybridInvertedIndex`:
 
 * every inverted list lives in one contiguous ``values`` array, and a
   *composite-keyed* mirror ``keyed[j] = element(j) * stride + values[j]``
   (``stride > `` any probed id) is globally sorted. Probing element ``e``
   for target ``t`` is therefore ``searchsorted(keyed, e * stride + t)`` —
   which means *any number of (list, target) probes batch into a single*
-  ``np.searchsorted`` *call*;
+  ``np.searchsorted`` *call* (:func:`batch_first_geq`);
 * gap lookup (the first entry strictly greater than the candidate) is a
-  vectorized gather at ``pos + hit``, and the next candidate is one
-  ``np.max`` reduction instead of a Python loop.
+  vectorized gather at ``pos + hit`` (:func:`batch_gap_lookup`), and the
+  next candidate is one ``max`` reduction per record instead of a Python
+  loop;
+* the densest lists also carry bitmap rows, answered by masking at most
+  two uint64 words and bit-scanning (:func:`_bitmap_gap_inbounds`), and
+  sparse lists gallop from per-slot cursors (:func:`gallop_first_geq` —
+  doubling steps batched across the whole slot set, then one
+  ``searchsorted`` finishes whatever escaped the window).
 
-Three granularities are provided:
-
-``batch_first_geq``
-    One ``searchsorted`` probing all *k* lists of one record at once — the
-    array form of :func:`repro.index.search.first_geq`.
-``cross_cut_record_csr``
-    The cross-cutting loop for a single record; per-list cursors are a
-    numpy array, ``next_max`` is ``gap.max()``.
-``cross_cut_collection_csr``
-    The whole-collection superstep kernel the ``backend="csr"`` framework
-    join runs: every active record advances its own candidate each
-    superstep, so one ``searchsorted`` serves *all* pending probes of all
-    records. Per-record candidate sequences — and therefore the result
-    pairs, the probe count, and the round count — are identical to running
-    :func:`cross_cut_record` record by record.
-``cross_cut_collection_hybrid``
-    The same superstep on a :class:`~repro.index.storage
-    .HybridInvertedIndex`, routing each probe to its representation:
-    *dense* lists (bitmap rows) answer by masking at most two uint64 words
-    and bit-scanning (:func:`bitmap_gap_lookup`), *sparse* lists gallop
-    from per-slot cursors (:func:`gallop_first_geq` — doubling steps
-    batched across the whole slot set, then one ``searchsorted`` finishes
-    whatever escaped the window). Both paths fall back to the exact CSR
-    arrays for the rare probes they cannot settle, so the candidate
-    sequences — pairs, probes, rounds — again match the scalar loop
-    exactly.
+:func:`cross_cut_collection_hybrid` is the whole-collection superstep
+kernel the array-backend framework join runs: every active record advances
+its own candidate each superstep, with each probe routed to its list's
+representation. Every fallback is exact, so per-record candidate sequences
+— and therefore the result pairs, the probe count, and the round count —
+are identical to running :func:`cross_cut_record` record by record.
 
 Early termination (paper §III-C) is a *probe-ordering* refinement: it
 changes which lists are visited, never which pairs are produced. Batched
-probing visits all lists of a round in one call, so the CSR backend has a
-single code path; ``framework_et`` on this backend produces the same pairs
-while metering slightly more probes than the Python ET loop would.
+probing visits all lists of a round in one call, so the array backend has
+a single code path; ``framework_et`` on it produces the same pairs while
+metering slightly more probes than the Python ET loop would.
 """
 
 from __future__ import annotations
@@ -62,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports index)
     from ..core.results import PairSink
     from ..core.stats import JoinStats
     from ..data.collection import SetCollection
-    from .storage import CSRInvertedIndex, HybridInvertedIndex
+    from .storage import HybridInvertedIndex
 
 #: A probe target: one scalar candidate, or one candidate per probed list.
 Target = Union[int, "np.ndarray"]
@@ -70,11 +56,7 @@ Target = Union[int, "np.ndarray"]
 __all__ = [
     "batch_first_geq",
     "batch_gap_lookup",
-    "bitmap_first_geq",
-    "bitmap_gap_lookup",
     "gallop_first_geq",
-    "cross_cut_record_csr",
-    "cross_cut_collection_csr",
     "cross_cut_collection_hybrid",
 ]
 
@@ -92,7 +74,7 @@ _FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 #: out are finished by one global ``searchsorted`` — the gallop only has to
 #: win the near-cursor common case, never to replace the binary search.
 _GALLOP_WINDOW = 64
-#: Slots below which a hybrid superstep takes the plain CSR step instead of
+#: Slots below which a superstep takes the plain CSR step instead of
 #: the bitmap/gallop pipelines. One C ``searchsorted`` has essentially no
 #: dispatch overhead, while the vectorized bitmap path issues ~20 numpy
 #: calls; measured on this testbed the crossover sits near 2k slots, and
@@ -216,55 +198,9 @@ def batch_gap_lookup(
     return hit, gap
 
 
-def cross_cut_record_csr(
-    rid: int,
-    index: "CSRInvertedIndex",
-    record: Sequence[int],
-    first_sid: int,
-    inf_sid: int,
-    sink: "PairSink",
-    stats: Optional["JoinStats"] = None,
-) -> None:
-    """Cross-cutting loop for one record over a CSR index.
-
-    Mirrors :func:`repro.core.framework.cross_cut_record` but keeps the
-    per-list cursors as a numpy array, probes all ``k`` lists with one
-    ``searchsorted`` per round, and takes ``next_max`` with ``np.max``.
-    Records containing an element absent from ``S`` are skipped upfront
-    (they can never find a superset), as in the Python loop.
-    """
-    probe = index.record_probe(record)
-    if probe is None:
-        return
-    bases, starts, ends = probe
-    keyed = index.keyed
-    cursors = starts  # per-list cursors, advanced to each round's positions
-    k = bases.shape[0]
-    max_sid = first_sid
-    searches = 0
-    rounds = 0
-    # lint: scalar-fallback (one iteration per cross-cut round; the k probes
-    # inside each round are a single batched searchsorted)
-    while max_sid < inf_sid:
-        rounds += 1
-        searches += k
-        cursors = batch_first_geq(keyed, bases, max_sid)
-        hit, gap = batch_gap_lookup(keyed, bases, ends, cursors, max_sid, inf_sid)
-        if hit.all():
-            sink.add(rid, max_sid)
-        max_sid = int(gap.max())
-    if stats is not None:
-        stats.binary_searches += searches
-        stats.rounds += rounds
-    reg = _obs.ACTIVE
-    if reg is not None:
-        reg.inc("kernel.searchsorted_calls", rounds)
-        reg.inc("kernel.probes", searches)
-
-
 def _emit_single_element_records(
     r_collection: "SetCollection",
-    index: "CSRInvertedIndex",
+    index: "HybridInvertedIndex",
     sink: "PairSink",
     rids: Sequence[int],
 ) -> None:
@@ -281,147 +217,8 @@ def _emit_single_element_records(
         sink.add_sids(rid, index.get_list(r_collection[rid][0]))
 
 
-def cross_cut_collection_csr(
-    r_collection: "SetCollection",
-    index: "CSRInvertedIndex",
-    sink: "PairSink",
-    stats: Optional["JoinStats"] = None,
-) -> None:
-    """Cross-cut every record of ``r_collection`` in vectorized supersteps.
-
-    Each superstep advances *every* still-active record by exactly one
-    round of the cross-cutting loop: all pending probes (one per list per
-    active record) go through a single ``searchsorted``, hits and gaps are
-    classified in bulk by :func:`batch_gap_lookup`, and the per-record
-    ``found`` / ``next_max`` reductions run as ``np.add.reduceat`` /
-    ``np.maximum.reduceat`` over the record's slot group. Records whose
-    candidate reaches ``S_∞`` are compacted out. The candidate sequence of
-    each record is exactly the one the scalar loop produces, so the emitted
-    pair set, probe count, and round count match the Python backend
-    (modulo emission order, which is round-major here).
-
-    Two departures from the one-record-at-a-time shape, both exact:
-
-    * single-element records short-circuit to their full inverted list;
-    * once fewer than ``_STRAGGLER_WIDTH`` records survive past
-      ``_STRAGGLER_SUPERSTEPS`` supersteps (a long-tail join), the
-      remaining records finish on the pure-Python loop, where per-round
-      overhead is lower than a fixed-cost numpy superstep.
-    """
-    inf_sid = index.inf_sid
-    universe = index.universe
-    if len(universe) == 0:
-        return
-    first_sid = int(universe[0])
-
-    rec_rids = []
-    rec_lens = []
-    base_parts = []
-    end_parts = []
-    single_rids = []
-    # lint: scalar-fallback (one-time setup pass over R records, not probe work)
-    for rid, record in enumerate(r_collection):
-        probe = index.record_probe(record)
-        if probe is None:
-            continue
-        bases, __, ends = probe
-        if bases.shape[0] == 1:
-            single_rids.append(rid)
-            continue
-        rec_rids.append(rid)
-        rec_lens.append(bases.shape[0])
-        base_parts.append(bases)
-        end_parts.append(ends)
-    if single_rids:
-        _emit_single_element_records(r_collection, index, sink, single_rids)
-    if not rec_rids:
-        reg = _obs.ACTIVE
-        if reg is not None and single_rids:
-            reg.inc("kernel.single_element_records", len(single_rids))
-        return
-
-    # Records ascending by list count: compaction preserves the order, and
-    # _segment_reduce's columnar strategy needs "records with > j lists" to
-    # be a suffix slice. Pair sets are order-insensitive, so only the
-    # emission order shifts.
-    order = np.argsort(np.asarray(rec_lens, dtype=np.int64), kind="stable")
-    # lint: scalar-fallback (k-way gather of per-record arrays; one iteration per record)
-    slot_base = np.concatenate([base_parts[i] for i in order])
-    # lint: scalar-fallback (same per-record gather as slot_base)
-    slot_end = np.concatenate([end_parts[i] for i in order])
-    rec_rid = np.asarray(rec_rids, dtype=np.int64)[order]
-    rec_k = np.asarray(rec_lens, dtype=np.int64)[order]
-    rec_off = np.zeros(rec_k.shape[0], dtype=np.int64)
-    np.cumsum(rec_k[:-1], out=rec_off[1:])
-    slot_rec = np.repeat(np.arange(rec_k.shape[0]), rec_k)
-    cand = np.full(rec_k.shape[0], first_sid, dtype=np.int64)
-    col_lo = _column_bounds(rec_k)
-
-    keyed = index.keyed
-    searches = 0
-    rounds = 0
-    supersteps = 0
-    stragglers = 0
-    # lint: scalar-fallback (superstep driver: one iteration advances every
-    # alive record by a whole round through batched numpy calls)
-    while cand.shape[0]:
-        supersteps += 1
-        rounds += cand.shape[0]
-        slot_cand = cand[slot_rec]
-        pos = batch_first_geq(keyed, slot_base, slot_cand)
-        searches += pos.shape[0]
-        hit, gap = batch_gap_lookup(keyed, slot_base, slot_end, pos, slot_cand, inf_sid)
-        found, next_cand = _segment_reduce(hit, gap, rec_off, col_lo)
-        if found.any():
-            sink.add_pairs(rec_rid[found], cand[found])
-        cand = next_cand
-        alive = cand < inf_sid
-        n_alive = int(alive.sum())
-        if n_alive == 0:
-            break
-        if n_alive < cand.shape[0]:
-            slot_alive = alive[slot_rec]
-            slot_base = slot_base[slot_alive]
-            slot_end = slot_end[slot_alive]
-            rec_rid = rec_rid[alive]
-            rec_k = rec_k[alive]
-            cand = cand[alive]
-            rec_off = np.zeros(rec_k.shape[0], dtype=np.int64)
-            np.cumsum(rec_k[:-1], out=rec_off[1:])
-            slot_rec = np.repeat(np.arange(rec_k.shape[0]), rec_k)
-            col_lo = _column_bounds(rec_k)
-        if cand.shape[0] <= _STRAGGLER_WIDTH and supersteps >= _STRAGGLER_SUPERSTEPS:
-            # Long-tail join: finish the survivors on the scalar loop.
-            from ..core.framework import cross_cut_record
-
-            stragglers = cand.shape[0]
-            # lint: scalar-fallback (deliberate straggler tail: <=
-            # _STRAGGLER_WIDTH survivors finish on the scalar loop where
-            # per-round numpy call overhead would dominate)
-            for i in range(cand.shape[0]):
-                rid = int(rec_rid[i])
-                # lint: scalar-fallback (straggler tail: python lists feed cross_cut_record)
-                lists = [
-                    index.get_list(e).tolist() for e in r_collection[rid]
-                ]
-                cross_cut_record(
-                    rid, lists, int(cand[i]), inf_sid, sink, False, stats
-                )
-            break
-    if stats is not None:
-        stats.binary_searches += searches
-        stats.rounds += rounds
-    reg = _obs.ACTIVE
-    if reg is not None:
-        reg.inc("kernel.searchsorted_calls", supersteps)
-        reg.inc("kernel.probes", searches)
-        reg.inc("kernel.supersteps", supersteps)
-        reg.inc("kernel.single_element_records", len(single_rids))
-        reg.inc("kernel.straggler_records", stragglers)
-
-
 # --------------------------------------------------------------------------
-# Hybrid backend: bitmap rows for dense lists, galloping for sparse ones
+# Bitmap rows for dense lists, galloping for sparse ones
 # --------------------------------------------------------------------------
 
 
@@ -437,123 +234,6 @@ def _ctz64(words: np.ndarray) -> np.ndarray:
     return exponent.astype(np.int64) - 1
 
 
-def bitmap_first_geq(
-    bitmap: np.ndarray,
-    words: int,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    inf_sid: int,
-) -> np.ndarray:
-    """First set bit ``>= target`` per probed bitmap row, two words deep.
-
-    ``bitmap`` is the flat uint64 row store of a
-    :class:`~repro.index.storage.HybridInvertedIndex` (``words`` words per
-    row); ``rows[i]`` / ``targets[i]`` describe probe ``i``. Returns per
-    probe the smallest sid ``>= target`` in the row, looking at the
-    target's word and the one after it:
-
-    * a sid — found within the window;
-    * ``inf_sid`` — the row is exhausted (no set bit at or past the
-      target), or the target is already ``>= inf_sid``;
-    * ``-1`` — *unresolved*: both inspected words were empty past the
-      target but the row continues. The miss itself is already proven
-      (bit ``target`` was inspected and clear); only the gap needs the
-      caller's CSR fallback. At bitmap-worthy densities (>= 1 posting per
-      word) two consecutive empty words are rare, so fallbacks are too.
-    """
-    n = targets.shape[0]
-    out = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return out
-    if words == 0:
-        out[:] = inf_sid
-        return out
-    oob = targets >= inf_sid
-    # Clamp the word index for out-of-bounds targets (overwritten below);
-    # in-bounds targets satisfy target >> 6 <= (inf_sid - 1) >> 6 < words.
-    w0 = np.minimum(targets >> 6, words - 1)
-    base = rows * words
-    shift = (targets & 63).astype(np.uint64)
-    masked = bitmap[base + w0] & np.left_shift(_FULL_WORD, shift)
-    found0 = masked != 0
-    if found0.any():
-        i0 = np.flatnonzero(found0)
-        out[i0] = (w0[i0] << 6) + _ctz64(masked[i0])
-    rest = ~found0
-    w1 = w0 + 1
-    in_row = rest & (w1 < words)
-    if in_row.any():
-        i1 = np.flatnonzero(in_row)
-        word1 = bitmap[base[i1] + w1[i1]]
-        hit1 = word1 != 0
-        if hit1.any():
-            j = i1[hit1]
-            out[j] = (w1[j] << 6) + _ctz64(word1[hit1])
-    out[rest & (w1 >= words)] = inf_sid
-    # Targets at/past inf_sid can never be beaten: trailing bits beyond
-    # inf_sid - 1 are never set, and the clamped word may have matched.
-    out[oob] = inf_sid
-    return out
-
-
-def bitmap_gap_lookup(
-    bitmap: np.ndarray,
-    words: int,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    inf_sid: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Hit/gap classification for a batch of dense (bitmap-row) probes.
-
-    The bitmap twin of :func:`batch_gap_lookup`: ``hit[i]`` is exact for
-    every probe (bit ``target`` is inspected directly, so a miss is proven
-    even when the follow-up sid is not found); ``gap[i]`` is the entry
-    after a hit / the missed-to entry / ``inf_sid``, or ``-1`` when it
-    escaped the inspected window — the caller finishes those few on the
-    CSR arrays.
-
-    Hit or miss, the gap is the same quantity — the first set bit
-    *strictly greater* than the target (a missed target's bit is clear, so
-    "first >= target" and "first > target" coincide) — which lets one
-    fused pass answer both: the target's word, shifted down, yields the
-    hit bit and the remaining higher bits; only when those are empty is
-    the following word consulted.
-    """
-    n = targets.shape[0]
-    hit = np.zeros(n, dtype=bool)
-    gap = np.full(n, inf_sid, dtype=np.int64)
-    if n == 0 or words == 0:
-        return hit, gap
-    oob = targets >= inf_sid
-    # Clamp the word index for out-of-bounds targets (masked out below);
-    # in-bounds targets satisfy target >> 6 <= (inf_sid - 1) >> 6 < words.
-    w0 = np.minimum(targets >> 6, words - 1)
-    base = rows * words
-    shifted = bitmap[base + w0] >> (targets & 63).astype(np.uint64)
-    hit = (shifted & np.uint64(1)) != 0
-    rest = shifted >> np.uint64(1)  # bits strictly above the target, word 0
-    found0 = rest != 0
-    # _ctz64 output is garbage on zero words; the where() masks those out.
-    gap = np.where(found0, targets + 1 + _ctz64(rest), np.int64(-1))
-    need = ~found0
-    w1 = w0 + 1
-    in_row = need & (w1 < words)
-    if in_row.any():
-        i1 = np.flatnonzero(in_row)
-        word1 = bitmap[base[i1] + w1[i1]]
-        hit1 = word1 != 0
-        if hit1.any():
-            j = i1[hit1]
-            gap[j] = (w1[j] << 6) + _ctz64(word1[hit1])
-    gap[need & (w1 >= words)] = inf_sid
-    # Targets at/past inf_sid can never hit or be beaten: bits beyond
-    # inf_sid - 1 are never set, and the clamped word may have matched.
-    if oob.any():
-        hit[oob] = False
-        gap[oob] = inf_sid
-    return hit, gap
-
-
 def _bitmap_gap_inbounds(
     bitmap: np.ndarray,
     words: int,
@@ -561,15 +241,23 @@ def _bitmap_gap_inbounds(
     targets: np.ndarray,
     inf_sid: int,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Kernel-internal :func:`bitmap_gap_lookup` for in-bounds targets.
+    """Hit/gap classification for a batch of dense (bitmap-row) probes.
 
-    The superstep kernels only probe alive candidates (``< inf_sid`` by
-    compaction), so the public function's out-of-bounds masking and word
-    clamp are dead weight on the hottest path; ``row_base`` (``row *
-    words``) is also precomputed by the caller, because it only changes on
-    compaction, not per superstep. Semantics are otherwise identical:
-    exact ``hit``, ``gap`` = first set bit strictly above the target, with
-    ``-1`` for window escapees and ``inf_sid`` past the last word.
+    The bitmap twin of :func:`batch_gap_lookup`. ``row_base[i]`` is the
+    flat offset (``row * words``) of probe ``i``'s row and ``targets[i]``
+    its candidate, which must be in bounds (``< inf_sid``): the superstep
+    kernel only probes alive candidates, and it precomputes ``row_base``
+    because that only changes on compaction, not per superstep.
+
+    ``hit[i]`` is exact (bit ``target`` is inspected directly, so a miss
+    is proven even when the follow-up sid is not found). ``gap[i]`` is the
+    first set bit strictly above the target — hit or miss it is the same
+    quantity, since a missed target's bit is clear — looking at the
+    target's word and the one after it; ``inf_sid`` when the row has no
+    word past the target's, and ``-1`` when both inspected words were
+    empty past the target but the row continues. The caller finishes
+    those few on the CSR arrays; at bitmap-worthy densities (>= 1 posting
+    per word) two consecutive empty words are rare.
     """
     w0 = targets >> 6
     # int64 -> uint64 view is free and exact here: targets are sids, so
@@ -697,22 +385,33 @@ def cross_cut_collection_hybrid(
 ) -> None:
     """Cross-cut every record in supersteps, routing probes by representation.
 
-    Same superstep skeleton as :func:`cross_cut_collection_csr` — setup,
-    per-record ``found``/``next_max`` reductions, compaction, the
-    single-element short-circuit and the straggler tail — but each slot
-    probes through its list's representation:
+    Each superstep advances *every* still-active record by exactly one
+    round of the cross-cutting loop: all pending probes (one per list per
+    active record) are classified in bulk, and the per-record ``found`` /
+    ``next_max`` reductions run over the record's slot group
+    (:func:`_segment_reduce`). Records whose candidate reaches ``S_∞`` are
+    compacted out. Each slot probes through its list's representation:
 
-    * slots over *dense* elements go to :func:`bitmap_gap_lookup`; the few
-      gaps escaping the two-word window are settled by one batched
+    * slots over *dense* elements go to :func:`_bitmap_gap_inbounds`; the
+      few gaps escaping the two-word window are settled by one batched
       ``searchsorted`` on the CSR arrays;
     * slots over *sparse* elements gallop from per-slot cursors
       (:func:`gallop_first_geq`), with one global ``searchsorted``
       finishing window escapees, and classify through
-      :func:`batch_gap_lookup` as usual.
+      :func:`batch_gap_lookup` as usual;
+    * supersteps narrower than ``_HYBRID_MIN_BATCH`` slots skip the routing
+      and probe every slot with one ``searchsorted``.
 
     Every fallback is exact, so per-record candidate sequences — and the
     pair set, probe count, and round count — are identical to the scalar
-    loop and to the CSR kernel.
+    loop (modulo emission order, which is round-major here). Two
+    departures from the one-record-at-a-time shape, both exact:
+
+    * single-element records short-circuit to their full inverted list;
+    * once fewer than ``_STRAGGLER_WIDTH`` records survive past
+      ``_STRAGGLER_SUPERSTEPS`` supersteps (a long-tail join), the
+      remaining records finish on the pure-Python loop, where per-round
+      overhead is lower than a fixed-cost numpy superstep.
     """
     inf_sid = index.inf_sid
     universe = index.universe
@@ -748,7 +447,10 @@ def cross_cut_collection_hybrid(
             reg.inc("kernel.single_element_records", len(single_rids))
         return
 
-    # Same ascending-by-list-count order as the CSR kernel (see there).
+    # Records ascending by list count: compaction preserves the order, and
+    # _segment_reduce's columnar strategy needs "records with > j lists" to
+    # be a suffix slice. Pair sets are order-insensitive, so only the
+    # emission order shifts.
     order = np.argsort(np.asarray(rec_lens, dtype=np.int64), kind="stable")
     # lint: scalar-fallback (k-way gather of per-record arrays; one iteration per record)
     slot_base = np.concatenate([base_parts[i] for i in order])

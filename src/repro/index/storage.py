@@ -1,4 +1,4 @@
-"""Array storage backends and binary persistence for collections/indexes.
+"""Array storage and binary persistence for collections/indexes.
 
 Two concerns live here, both about *how index data is laid out in memory
 or on disk* rather than what it means:
@@ -7,20 +7,15 @@ or on disk* rather than what it means:
    interchange format; the ``RSC1``/``RIX1`` binary layouts below are the
    fast path, so a prebuilt index (or a big collection) loads in
    milliseconds instead of being re-parsed per process.
-2. **The CSR array backend** — :class:`CSRInvertedIndex` packs *all*
+2. **The array index** — :class:`HybridInvertedIndex` packs *all*
    inverted lists into two contiguous numpy arrays (``offsets``,
-   ``values``) plus a composite-keyed mirror (``keyed``), the layout the
-   batched kernels in :mod:`repro.index.kernels` run on.
-3. **The hybrid backend** — :class:`HybridInvertedIndex` keeps the full
-   CSR arrays and *additionally* packs the densest inverted lists into
-   uint64 bitmap rows (one bit per S-record), so probes against them
-   become word masking + bit-scan instead of a binary search over all
-   postings. Representation selection is by list length against a density
-   threshold (default from
-   :func:`repro.core.estimate.element_frequency_profile`); everything the
-   CSR backend supports — tree binding, pickling, REPRO_CHECK layout
-   checks — works unchanged because the CSR arrays are always present and
-   authoritative.
+   ``values``) plus a composite-keyed mirror (``keyed``), the CSR layout
+   the batched kernel in :mod:`repro.index.kernels` runs on, and
+   additionally packs the densest lists into uint64 bitmap rows (one bit
+   per S-record), so probes against them become word masking + bit-scan
+   instead of a binary search over all postings. The CSR arrays are always
+   complete and authoritative; the resident server's
+   :class:`IncrementalIndex` builds its frozen base with no bitmap rows.
 
 Persistence layout (all integers little-endian):
 
@@ -62,7 +57,6 @@ from .inverted import EMPTY_LIST, InvertedIndex
 from .search import contains_sorted
 
 __all__ = [
-    "CSRInvertedIndex",
     "HybridInvertedIndex",
     "DeltaSegment",
     "IndexSnapshot",
@@ -171,29 +165,20 @@ def load_index(path: str) -> InvertedIndex:
 
 
 # --------------------------------------------------------------------------
-# CSR array backend
+# The array index: CSR arrays plus bitmap rows for the densest lists
 # --------------------------------------------------------------------------
 
 
-def _debug_check_csr(index: "CSRInvertedIndex") -> "CSRInvertedIndex":
-    """REPRO_CHECK=1 hook: validate the CSR layout after a build.
+def _debug_check_layout(index: "HybridInvertedIndex") -> "HybridInvertedIndex":
+    """REPRO_CHECK=1 hook: validate the array layout after a build.
 
     The environment test runs first so the disabled path costs one dict
     lookup and never imports :mod:`repro.core.selfcheck`.
     """
     if os.environ.get("REPRO_CHECK", "") not in ("", "0"):
-        from ..core.selfcheck import check_csr_layout
+        from ..core.selfcheck import check_array_layout
 
-        check_csr_layout(index)
-    return index
-
-
-def _debug_check_hybrid(index: "HybridInvertedIndex") -> "HybridInvertedIndex":
-    """REPRO_CHECK=1 hook: validate CSR *and* bitmap layout after build."""
-    if os.environ.get("REPRO_CHECK", "") not in ("", "0"):
-        from ..core.selfcheck import check_hybrid_layout
-
-        check_hybrid_layout(index)
+        check_array_layout(index)
     return index
 
 
@@ -206,7 +191,7 @@ class _CSRListMapping:
 
     __slots__ = ("_index",)
 
-    def __init__(self, index: "CSRInvertedIndex") -> None:
+    def __init__(self, index: "HybridInvertedIndex") -> None:
         self._index = index
 
     def get(
@@ -234,11 +219,22 @@ class _CSRListMapping:
         return int(np.count_nonzero(counts))
 
 
-class CSRInvertedIndex:
-    """All inverted lists of ``S`` packed into contiguous numpy arrays.
+#: Cap on bitmap rows per index: rows cost ``ceil(inf_sid / 64)`` words
+#: each, and past the densest ~1k elements the probe traffic per extra row
+#: no longer pays for the memory (Zipf mass concentrates hard at the top).
+_MAX_DENSE_LISTS = 1024
+
+#: Bits per bitmap word; rows are packed little-endian (bit ``sid & 63`` of
+#: word ``sid >> 6`` is set iff ``sid`` is in the element's list).
+_WORD_BITS = 64
+
+
+class HybridInvertedIndex:
+    """All inverted lists of ``S`` in contiguous numpy arrays, plus uint64
+    bitmap rows for the densest lists.
 
     The CSR (compressed sparse row) layout over the dense element domain
-    ``[0, num_slots)``:
+    ``[0, num_slots)`` holds every list and is authoritative:
 
     * ``offsets`` — int64, shape ``(num_slots + 1,)``; the list of element
       ``e`` is ``values[offsets[e]:offsets[e + 1]]`` (empty for elements
@@ -249,6 +245,31 @@ class CSRInvertedIndex:
       ``stride = max(inf_sid, 1)``; globally sorted, which is what lets
       :mod:`repro.index.kernels` answer any batch of (list, target) probes
       with one ``np.searchsorted``.
+
+    On top of it, the densest lists also get a bitmap row:
+
+    * ``dense_ids``  — int64, sorted: the elements given a bitmap row;
+    * ``dense_map``  — int64, length ``num_slots``: element → row index,
+      ``-1`` for sparse elements (rebuilt on unpickling, never pickled);
+    * ``bitmap``     — uint64, flat ``num_dense * words`` with
+      ``words = ceil(inf_sid / 64)``; bit ``sid`` of row ``r`` (i.e. bit
+      ``sid & 63`` of word ``r * words + (sid >> 6)``) is set iff
+      ``sid ∈ I[dense_ids[r]]``.
+
+    The superstep kernel (:func:`repro.index.kernels
+    .cross_cut_collection_hybrid`) answers probes against dense lists by
+    masking at most two bitmap words and bit-scanning, falls back to
+    ``keyed`` for the rare cross-word gaps, and gallops the sparse lists
+    from per-slot cursors — all while reproducing the exact candidate
+    sequence of the scalar loop. Everything else (tree binding,
+    :meth:`record_probe`, :meth:`supersets_of`) reads the CSR arrays only.
+
+    An element goes dense when its list length reaches
+    ``dense_threshold`` — by default the break-even density suggested by
+    :func:`repro.core.estimate.element_frequency_profile` (≈ one posting
+    per bitmap word) — capped at the ``max_dense`` longest lists.
+    Degenerate layouts are legal: ``dense_threshold=1`` packs every
+    non-empty list, ``max_dense=0`` packs none.
 
     The class is API-compatible with :class:`~repro.index.inverted
     .InvertedIndex` for probing (``lists``/``get_lists``/``universe``/
@@ -266,6 +287,10 @@ class CSRInvertedIndex:
         "universe",
         "lists",
         "_construction_cost",
+        "dense_ids",
+        "dense_map",
+        "bitmap",
+        "bitmap_words",
     )
 
     def __init__(
@@ -276,6 +301,9 @@ class CSRInvertedIndex:
         inf_sid: int,
         universe: Sequence[int],
         construction_cost: int = 0,
+        *,
+        dense_ids: np.ndarray,
+        bitmap: np.ndarray,
     ) -> None:
         self.offsets = offsets
         self.values = values
@@ -285,17 +313,31 @@ class CSRInvertedIndex:
         self.universe = universe
         self.lists = _CSRListMapping(self)
         self._construction_cost = construction_cost
+        self.dense_ids = dense_ids
+        self.bitmap = bitmap
+        self.bitmap_words = (inf_sid + _WORD_BITS - 1) // _WORD_BITS
+        # element -> bitmap row; rebuilt on unpickling, never pickled.
+        dense_map = np.full(self.num_slots, -1, dtype=np.int64)
+        if dense_ids.shape[0]:
+            dense_map[dense_ids] = np.arange(dense_ids.shape[0], dtype=np.int64)
+        self.dense_map = dense_map
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, s_collection: SetCollection) -> "CSRInvertedIndex":
-        """Build the global CSR index for ``S`` in one vectorized pass.
+    def build(
+        cls,
+        s_collection: SetCollection,
+        dense_threshold: Optional[int] = None,
+        max_dense: int = _MAX_DENSE_LISTS,
+    ) -> "HybridInvertedIndex":
+        """Build the global index for ``S`` in one vectorized pass.
 
         Elements are flattened once, postings are grouped per element with
         a stable argsort (insertion order is ascending set id, so every
         list comes out sorted without per-list work), and offsets fall out
-        of a ``bincount``/``cumsum``.
+        of a ``bincount``/``cumsum``. Bitmap rows are then packed for the
+        dense lists (see the class docstring).
         """
         n = len(s_collection)
         records = s_collection.records
@@ -314,17 +356,17 @@ class CSRInvertedIndex:
         offsets = np.zeros(num_slots + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         keyed = elems_sorted * stride + values
-        reg = _obs.ACTIVE
-        if reg is not None:
-            reg.inc("index.csr_builds")
-            reg.inc("index.csr_postings", total)
-        return _debug_check_csr(cls(
-            offsets, values, keyed,
-            inf_sid=n, universe=range(n), construction_cost=total,
-        ))
+        return cls._pack(
+            offsets, values, keyed, n, range(n), total, dense_threshold, max_dense
+        )
 
     @classmethod
-    def from_index(cls, index: InvertedIndex) -> "CSRInvertedIndex":
+    def from_index(
+        cls,
+        index: InvertedIndex,
+        dense_threshold: Optional[int] = None,
+        max_dense: int = _MAX_DENSE_LISTS,
+    ) -> "HybridInvertedIndex":
         """Repack an existing :class:`InvertedIndex` (global or local)."""
         elements = sorted(e for e, lst in index.lists.items() if len(lst))
         num_slots = (elements[-1] + 1) if elements else 0
@@ -348,22 +390,75 @@ class CSRInvertedIndex:
             if elements else np.zeros(0, dtype=np.int64),
         )
         keyed = elems * stride + values
+        return cls._pack(
+            offsets, values, keyed, inf_sid, index.universe,
+            index.construction_cost, dense_threshold, max_dense,
+        )
+
+    @classmethod
+    def _pack(
+        cls,
+        offsets: np.ndarray,
+        values: np.ndarray,
+        keyed: np.ndarray,
+        inf_sid: int,
+        universe: Sequence[int],
+        construction_cost: int,
+        dense_threshold: Optional[int],
+        max_dense: int,
+    ) -> "HybridInvertedIndex":
+        """Pick the dense lists of finished CSR arrays, pack their bitmaps.
+
+        Only the ``max_dense`` longest lists at or above ``dense_threshold``
+        get a row. ``dense_threshold=None`` asks
+        :func:`repro.core.estimate.element_frequency_profile` for the
+        break-even length; ``max_dense=0`` skips that profile entirely.
+        """
+        counts = np.diff(offsets)
+        if max_dense <= 0:
+            dense_ids = np.zeros(0, dtype=np.int64)
+        else:
+            if dense_threshold is None:
+                # Lazy import: core imports index; the reverse edge stays
+                # call-time only.
+                from ..core.estimate import element_frequency_profile
+
+                profile = element_frequency_profile(
+                    counts[counts > 0].tolist(), num_sets=inf_sid
+                )
+                dense_threshold = profile.suggested_threshold
+            dense_threshold = max(int(dense_threshold), 1)
+            dense_ids = np.flatnonzero(counts >= dense_threshold).astype(np.int64)
+            if dense_ids.shape[0] > max_dense:
+                densest = np.argsort(counts[dense_ids], kind="stable")[::-1][:max_dense]
+                dense_ids = np.sort(dense_ids[densest])
+        words = (inf_sid + _WORD_BITS - 1) // _WORD_BITS
+        bitmap = np.zeros(dense_ids.shape[0] * words, dtype=np.uint64)
+        one = np.uint64(1)
+        for row, element in enumerate(dense_ids.tolist()):
+            sids = values[offsets[element]: offsets[element + 1]].astype(np.int64)
+            np.bitwise_or.at(
+                bitmap,
+                row * words + (sids >> 6),
+                np.left_shift(one, (sids & 63).astype(np.uint64)),
+            )
         reg = _obs.ACTIVE
         if reg is not None:
             reg.inc("index.csr_builds")
             reg.inc("index.csr_postings", int(values.shape[0]))
-        return _debug_check_csr(cls(
+            reg.inc("index.hybrid_dense_lists", int(dense_ids.shape[0]))
+        return _debug_check_layout(cls(
             offsets, values, keyed,
             inf_sid=inf_sid,
-            universe=index.universe,
-            construction_cost=index.construction_cost,
+            universe=universe,
+            construction_cost=construction_cost,
+            dense_ids=dense_ids,
+            bitmap=bitmap,
         ))
 
     # -- pickling (how parallel_join's worker nodes get the index) -------
 
-    def __getstate__(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, Sequence[int], int]:
+    def __getstate__(self) -> Tuple[Any, ...]:
         return (
             np.asarray(self.offsets),
             np.asarray(self.values),
@@ -371,14 +466,16 @@ class CSRInvertedIndex:
             self.inf_sid,
             self.universe,
             self._construction_cost,
+            np.asarray(self.dense_ids),
+            np.asarray(self.bitmap),
         )
 
-    def __setstate__(
-        self,
-        state: Tuple[np.ndarray, np.ndarray, np.ndarray, int, Sequence[int], int],
-    ) -> None:
-        offsets, values, keyed, inf_sid, universe, cost = state
-        self.__init__(offsets, values, keyed, inf_sid, universe, cost)  # type: ignore[misc]
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        offsets, values, keyed, inf_sid, universe, cost, dense_ids, bitmap = state
+        self.__init__(  # type: ignore[misc]
+            offsets, values, keyed, inf_sid, universe, cost,
+            dense_ids=dense_ids, bitmap=bitmap,
+        )
 
     # -- accessors --------------------------------------------------------
 
@@ -386,6 +483,11 @@ class CSRInvertedIndex:
     def num_slots(self) -> int:
         """Size of the dense element domain (``max element in S`` + 1)."""
         return len(self.offsets) - 1
+
+    @property
+    def num_dense(self) -> int:
+        """Number of elements carrying a bitmap row."""
+        return int(self.dense_ids.shape[0])
 
     def __getitem__(self, element: int) -> Union[np.ndarray, Tuple[int, ...]]:
         return self.lists.get(element, EMPTY_LIST)  # type: ignore[return-value]
@@ -441,11 +543,12 @@ class CSRInvertedIndex:
         The point-query face of the containment join: the record's
         inverted lists are intersected smallest-first, with membership
         answered by one batched ``np.searchsorted`` per list, so the cost
-        is proportional to the smallest list, not to ``|S|``. Returns an
-        ascending int64 array of set ids; an empty record matches every
-        indexed set. Positions equal external sids only for a global index
-        (``universe == range(inf_sid)``) — the only kind
-        :class:`IncrementalIndex` builds.
+        is proportional to the smallest list, not to ``|S|``. Bitmap rows
+        are not consulted: on short probes the CSR intersection measured
+        faster than AND-ing rows. Returns an ascending int64 array of set
+        ids; an empty record matches every indexed set. Positions equal
+        external sids only for a global index (``universe ==
+        range(inf_sid)``) — the only kind :class:`IncrementalIndex` builds.
         """
         elems = sorted({int(e) for e in record})
         if not elems:
@@ -478,240 +581,11 @@ class CSRInvertedIndex:
         return int(self.values.shape[0])
 
     def nbytes(self) -> int:
-        """Bytes held by the three arrays."""
-        return int(self.offsets.nbytes + self.values.nbytes + self.keyed.nbytes)
-
-#: Cap on bitmap rows per index: rows cost ``ceil(inf_sid / 64)`` words
-#: each, and past the densest ~1k elements the probe traffic per extra row
-#: no longer pays for the memory (Zipf mass concentrates hard at the top).
-_MAX_DENSE_LISTS = 1024
-
-#: Bits per bitmap word; rows are packed little-endian (bit ``sid & 63`` of
-#: word ``sid >> 6`` is set iff ``sid`` is in the element's list).
-_WORD_BITS = 64
-
-
-class HybridInvertedIndex(CSRInvertedIndex):
-    """CSR arrays plus uint64 bitmap rows for the densest inverted lists.
-
-    The CSR layout of the base class is kept complete and authoritative —
-    every element's postings live in ``values``/``keyed`` exactly as on the
-    ``csr`` backend, so tree binding, ``record_probe``, pickling and the
-    REPRO_CHECK layout checks all work unchanged. On top of it:
-
-    * ``dense_ids``  — int64, sorted: the elements given a bitmap row;
-    * ``dense_map``  — int64, length ``num_slots``: element → row index,
-      ``-1`` for sparse elements (rebuilt on unpickling, never pickled);
-    * ``bitmap``     — uint64, flat ``num_dense * words`` with
-      ``words = ceil(inf_sid / 64)``; bit ``sid`` of row ``r`` (i.e. bit
-      ``sid & 63`` of word ``r * words + (sid >> 6)``) is set iff
-      ``sid ∈ I[dense_ids[r]]``.
-
-    The hybrid kernel (:func:`repro.index.kernels
-    .cross_cut_collection_hybrid`) answers probes against dense lists by
-    masking at most two bitmap words and bit-scanning, falls back to the
-    CSR ``keyed`` array for the rare cross-word gaps, and gallops the
-    sparse lists from per-slot cursors — all while reproducing the exact
-    candidate sequence of the scalar loop.
-
-    An element goes dense when its list length reaches
-    ``dense_threshold`` — by default the break-even density suggested by
-    :func:`repro.core.estimate.element_frequency_profile` (≈ one posting
-    per bitmap word) — capped at the :data:`_MAX_DENSE_LISTS` longest
-    lists. Degenerate thresholds are legal: ``1`` packs every non-empty
-    list, ``inf_sid + 1`` packs none (pure-CSR behaviour).
-    """
-
-    __slots__ = ("dense_ids", "dense_map", "bitmap", "bitmap_words")
-
-    _SHARE_KIND = "hybrid"
-
-    def __init__(
-        self,
-        offsets: np.ndarray,
-        values: np.ndarray,
-        keyed: np.ndarray,
-        inf_sid: int,
-        universe: Sequence[int],
-        construction_cost: int = 0,
-        *,
-        dense_ids: np.ndarray,
-        bitmap: np.ndarray,
-    ) -> None:
-        super().__init__(
-            offsets, values, keyed, inf_sid, universe, construction_cost
-        )
-        self.dense_ids = dense_ids
-        self.bitmap = bitmap
-        self.bitmap_words = (inf_sid + _WORD_BITS - 1) // _WORD_BITS
-        # element -> bitmap row; rebuilt on unpickling, never pickled.
-        dense_map = np.full(self.num_slots, -1, dtype=np.int64)
-        if dense_ids.shape[0]:
-            dense_map[dense_ids] = np.arange(dense_ids.shape[0], dtype=np.int64)
-        self.dense_map = dense_map
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_csr(
-        cls,
-        csr: CSRInvertedIndex,
-        dense_threshold: Optional[int] = None,
-        max_dense: int = _MAX_DENSE_LISTS,
-    ) -> "HybridInvertedIndex":
-        """Promote a CSR index: pick the dense lists, pack their bitmaps.
-
-        The CSR arrays are adopted zero-copy (the bitmap is built from
-        them); only the ``max_dense`` longest lists at or above
-        ``dense_threshold`` get a row. ``dense_threshold=None`` asks
-        :func:`repro.core.estimate.element_frequency_profile` for the
-        break-even length.
-        """
-        counts = np.diff(csr.offsets)
-        if dense_threshold is None:
-            # Lazy import: core imports index; the reverse edge stays
-            # call-time only.
-            from ..core.estimate import element_frequency_profile
-
-            profile = element_frequency_profile(
-                counts[counts > 0].tolist(), num_sets=csr.inf_sid
-            )
-            dense_threshold = profile.suggested_threshold
-        dense_threshold = max(int(dense_threshold), 1)
-        dense_ids = np.flatnonzero(counts >= dense_threshold).astype(np.int64)
-        if dense_ids.shape[0] > max_dense:
-            densest = np.argsort(counts[dense_ids], kind="stable")[::-1][:max_dense]
-            dense_ids = np.sort(dense_ids[densest])
-        words = (csr.inf_sid + _WORD_BITS - 1) // _WORD_BITS
-        bitmap = np.zeros(dense_ids.shape[0] * words, dtype=np.uint64)
-        one = np.uint64(1)
-        for row, element in enumerate(dense_ids.tolist()):
-            sids = csr.values[
-                csr.offsets[element]: csr.offsets[element + 1]
-            ].astype(np.int64)
-            np.bitwise_or.at(
-                bitmap,
-                row * words + (sids >> 6),
-                np.left_shift(one, (sids & 63).astype(np.uint64)),
-            )
-        reg = _obs.ACTIVE
-        if reg is not None:
-            reg.inc("index.hybrid_builds")
-            reg.inc("index.hybrid_dense_lists", int(dense_ids.shape[0]))
-        return _debug_check_hybrid(cls(
-            csr.offsets, csr.values, csr.keyed,
-            inf_sid=csr.inf_sid,
-            universe=csr.universe,
-            construction_cost=csr.construction_cost,
-            dense_ids=dense_ids,
-            bitmap=bitmap,
-        ))
-
-    @classmethod
-    def build(
-        cls,
-        s_collection: SetCollection,
-        dense_threshold: Optional[int] = None,
-        max_dense: int = _MAX_DENSE_LISTS,
-    ) -> "HybridInvertedIndex":
-        """Build the CSR arrays, then pack bitmaps for the dense lists."""
-        return cls.from_csr(
-            CSRInvertedIndex.build(s_collection),
-            dense_threshold=dense_threshold,
-            max_dense=max_dense,
-        )
-
-    @classmethod
-    def from_index(
-        cls,
-        index: InvertedIndex,
-        dense_threshold: Optional[int] = None,
-        max_dense: int = _MAX_DENSE_LISTS,
-    ) -> "HybridInvertedIndex":
-        """Repack an :class:`InvertedIndex` (global or local) hybrid-style."""
-        return cls.from_csr(
-            CSRInvertedIndex.from_index(index),
-            dense_threshold=dense_threshold,
-            max_dense=max_dense,
-        )
-
-    # -- pickling ---------------------------------------------------------
-
-    def __getstate__(self) -> Tuple[Any, ...]:  # type: ignore[override]
-        return super().__getstate__() + (
-            np.asarray(self.dense_ids),
-            np.asarray(self.bitmap),
-        )
-
-    def __setstate__(self, state: Tuple[Any, ...]) -> None:  # type: ignore[override]
-        offsets, values, keyed, inf_sid, universe, cost, dense_ids, bitmap = state
-        self.__init__(  # type: ignore[misc]
-            offsets, values, keyed, inf_sid, universe, cost,
-            dense_ids=dense_ids, bitmap=bitmap,
-        )
-
-    # -- accessors --------------------------------------------------------
-
-    @property
-    def num_dense(self) -> int:
-        """Number of elements carrying a bitmap row."""
-        return int(self.dense_ids.shape[0])
-
-    def supersets_of(self, record: Sequence[int]) -> np.ndarray:
-        """Bitmap-accelerated point query.
-
-        Dense elements contribute by AND-ing their bitmap rows word-wise —
-        ``O(inf_sid / 64)`` per dense element regardless of list length,
-        which is exactly where the CSR intersection is weakest. Sparse
-        elements intersect as in the base class; the AND-ed mask then
-        filters the survivors with one shift per candidate. An all-dense
-        record never touches the CSR arrays at all: the mask is bit-scanned
-        directly (``np.unpackbits`` over the little-endian word bytes).
-        """
-        elems = sorted({int(e) for e in record})
-        if not elems:
-            return np.arange(self.inf_sid, dtype=np.int64)
-        words = self.bitmap_words
-        mask: Optional[np.ndarray] = None
-        sparse: List[np.ndarray] = []
-        for e in elems:
-            row = int(self.dense_map[e]) if 0 <= e < self.num_slots else -1
-            if row >= 0:
-                row_words = self.bitmap[row * words: (row + 1) * words]
-                if mask is None:
-                    mask = row_words.copy()
-                else:
-                    mask &= row_words
-            else:
-                lst = self.get_list(e)
-                if lst.shape[0] == 0:
-                    return np.zeros(0, dtype=np.int64)
-                sparse.append(lst)
-        if sparse:
-            sparse.sort(key=lambda lst: lst.shape[0])
-            cand = sparse[0].astype(np.int64)
-            for lst in sparse[1:]:
-                if cand.shape[0] == 0:
-                    break
-                idx = np.searchsorted(lst, cand)
-                np.minimum(idx, lst.shape[0] - 1, out=idx)
-                cand = cand[lst[idx] == cand]
-            if mask is not None and cand.shape[0]:
-                # uint64 >> int64 would promote to float; keep both uint64.
-                bits = np.right_shift(
-                    mask[cand >> 6], (cand & 63).astype(np.uint64)
-                )
-                cand = cand[(bits & np.uint64(1)) != 0]
-            return cand
-        if mask is None or not mask.shape[0]:
-            return np.zeros(0, dtype=np.int64)
-        bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
-        return np.flatnonzero(bits[: self.inf_sid]).astype(np.int64)
-
-    def nbytes(self) -> int:
-        """CSR bytes plus the bitmap rows and the dense-id table."""
+        """Bytes held by the CSR arrays, the bitmap rows and the dense-id
+        table."""
         return int(
-            super().nbytes() + self.dense_ids.nbytes + self.bitmap.nbytes
+            self.offsets.nbytes + self.values.nbytes + self.keyed.nbytes
+            + self.dense_ids.nbytes + self.bitmap.nbytes
         )
 
 
@@ -792,7 +666,7 @@ class IndexSnapshot:
     """An immutable epoch view over an :class:`IncrementalIndex`.
 
     ``base`` (with its position → external-sid map ``base_sids``) is a
-    frozen CSR/hybrid index over the records that were live at the last
+    frozen array index over the records that were live at the last
     compaction; ``delta`` holds everything appended since. ``sid_bound``
     pins the append high-watermark — later appends mutate the shared delta
     postings but are filtered here — and ``tombstones`` is a frozen copy
@@ -807,7 +681,7 @@ class IndexSnapshot:
     def __init__(
         self,
         epoch: int,
-        base: CSRInvertedIndex,
+        base: HybridInvertedIndex,
         base_sids: np.ndarray,
         delta: DeltaSegment,
         sid_bound: int,
@@ -867,16 +741,10 @@ class IncrementalIndex:
         self,
         s_collection: Optional[SetCollection] = None,
         *,
-        backend: str = "csr",
         compact_ratio: float = 0.5,
         delta_ratio: float = 0.25,
         auto_compact: bool = True,
-        dense_threshold: Optional[int] = None,
     ) -> None:
-        if backend not in ("csr", "hybrid"):
-            raise InvalidParameterError(
-                f"backend must be 'csr' or 'hybrid', got {backend!r}"
-            )
         if not 0.0 < compact_ratio <= 1.0:
             raise InvalidParameterError(
                 f"compact_ratio must be in (0, 1], got {compact_ratio}"
@@ -885,11 +753,9 @@ class IncrementalIndex:
             raise InvalidParameterError(
                 f"delta_ratio must be positive, got {delta_ratio}"
             )
-        self._backend = backend
         self._compact_ratio = compact_ratio
         self._delta_ratio = delta_ratio
         self._auto_compact = auto_compact
-        self._dense_threshold = dense_threshold
         self._live: Dict[int, Tuple[int, ...]] = {}
         if s_collection is not None:
             for sid, rec in enumerate(s_collection.records):
@@ -905,27 +771,18 @@ class IncrementalIndex:
         self._dead_records: Dict[int, Tuple[int, ...]] = {}
         self._epoch = 0
 
-    def _build_base(self) -> Tuple[CSRInvertedIndex, np.ndarray]:
+    def _build_base(self) -> Tuple[HybridInvertedIndex, np.ndarray]:
         pairs = sorted(self._live.items())
         collection = SetCollection((rec for _, rec in pairs), validate=False)
-        if not pairs or self._backend == "csr":
-            # An empty hybrid base degenerates to CSR: there is nothing to
-            # profile for a dense threshold and nothing to pack.
-            base: CSRInvertedIndex = CSRInvertedIndex.build(collection)
-        else:
-            base = HybridInvertedIndex.build(
-                collection, dense_threshold=self._dense_threshold
-            )
+        # No bitmap rows: the base's only reader is the CSR intersection
+        # in :meth:`HybridInvertedIndex.supersets_of`.
+        base = HybridInvertedIndex.build(collection, max_dense=0)
         base_sids = np.fromiter(
             (sid for sid, _ in pairs), dtype=np.int64, count=len(pairs)
         )
         return base, base_sids
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def epoch(self) -> int:
@@ -1052,11 +909,9 @@ class IncrementalIndex:
         cls,
         payload: Mapping[str, object],
         *,
-        backend: str = "csr",
         compact_ratio: float = 0.5,
         delta_ratio: float = 0.25,
         auto_compact: bool = True,
-        dense_threshold: Optional[int] = None,
     ) -> "IncrementalIndex":
         """Rebuild the exact index a :meth:`dump_state` payload captured.
 
@@ -1068,11 +923,9 @@ class IncrementalIndex:
         """
         index = cls(
             None,
-            backend=backend,
             compact_ratio=compact_ratio,
             delta_ratio=delta_ratio,
             auto_compact=auto_compact,
-            dense_threshold=dense_threshold,
         )
         index._live = {
             int(sid): tuple(int(e) for e in record)

@@ -24,9 +24,8 @@ __all__ = ["SPAN_CATALOGUE", "COUNTER_CATALOGUE"]
 SPAN_CATALOGUE = frozenset(
     {
         "join.run",  # one set_containment_join invocation end to end
-        "index.build",  # inverted/CSR index construction on S
-        "index.csr_pack",  # repacking a python-backend index into CSR form
-        "index.hybrid_pack",  # promoting a CSR index to the hybrid backend
+        "index.build",  # inverted/array index construction on S
+        "index.csr_pack",  # repacking a python-backend index into the array index
         "order.build",  # global element order construction
         "tree.build",  # prefix tree construction on R
         "tree.traverse",  # Algorithm 2: repeated postorder traversals
@@ -65,9 +64,8 @@ COUNTER_CATALOGUE = {
     "index.builds": "global inverted-index builds",
     "index.local_builds": "local (partition) index builds",
     "index.tokens": "tokens scanned during index construction",
-    "index.csr_builds": "CSR index builds/repacks",
+    "index.csr_builds": "array index builds/repacks",
     "index.csr_postings": "postings packed into CSR arrays",
-    "index.hybrid_builds": "hybrid index builds/promotions",
     "index.hybrid_dense_lists": "inverted lists given a bitmap row",
     # -- probe.*: the python cross-cutting loop --
     "probe.records": "R records that entered the cross-cutting loop",
@@ -76,7 +74,7 @@ COUNTER_CATALOGUE = {
     "probe.rounds": "candidate-advance rounds of the python loop",
     "probe.matches": "containments emitted by the python loop",
     "probe.early_term_breaks": "rounds cut short by early termination",
-    # -- kernel.*: the batched CSR supersteps --
+    # -- kernel.*: the batched array-index supersteps --
     "kernel.searchsorted_calls": "batched np.searchsorted calls issued",
     "kernel.probes": "individual (list, target) probes answered in batches",
     "kernel.supersteps": "whole-collection supersteps run",

@@ -2,7 +2,7 @@
 
 A long-lived, single-threaded server that keeps the hot containment
 structures loaded — an :class:`~repro.index.storage.IncrementalIndex`
-(CSR/hybrid base + delta + tombstones) for superset point queries, an
+(frozen array base + delta + tombstones) for superset point queries, an
 :class:`~repro.index.prefix_tree.IncrementalPrefixTree` for subset
 queries, and the pubsub :class:`~repro.pubsub.broker.Broker` — and
 answers requests over a line-delimited JSON socket protocol with request

@@ -133,11 +133,9 @@ class ServeState:
         self,
         s_collection: Optional[SetCollection] = None,
         *,
-        backend: str = "csr",
         compact_ratio: float = 0.5,
         delta_ratio: float = 0.25,
         memory_budget: Optional[int] = None,
-        dense_threshold: Optional[int] = None,
     ) -> None:
         if memory_budget is not None and memory_budget <= 0:
             raise InvalidParameterError(
@@ -146,10 +144,8 @@ class ServeState:
         self.memory_budget = memory_budget
         self.index = IncrementalIndex(
             s_collection,
-            backend=backend,
             compact_ratio=compact_ratio,
             delta_ratio=delta_ratio,
-            dense_threshold=dense_threshold,
         )
         self.trie = IncrementalPrefixTree(compact_ratio=compact_ratio)
         if s_collection is not None:
@@ -368,7 +364,6 @@ class ServeState:
             "delivered": self.broker.delivered,
             "resident_bytes": self.resident_bytes(),
             "memory_budget": self.memory_budget,
-            "backend": self.index.backend,
             "latency": {
                 name: rec.summary() for name, rec in self.latency.items()
             },

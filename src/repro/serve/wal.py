@@ -543,11 +543,9 @@ class DurableServeState(ServeState):
         s_collection: Optional[SetCollection] = None,
         *,
         data_dir: str,
-        backend: str = "csr",
         compact_ratio: float = 0.5,
         delta_ratio: float = 0.25,
         memory_budget: Optional[int] = None,
-        dense_threshold: Optional[int] = None,
         plan: Optional[FaultPlan] = None,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         fsync: bool = True,
@@ -563,10 +561,8 @@ class DurableServeState(ServeState):
         self.snapshot_every = snapshot_every
         self._ops_since_snapshot = 0
         self._config = {
-            "backend": backend,
             "compact_ratio": compact_ratio,
             "delta_ratio": delta_ratio,
-            "dense_threshold": dense_threshold,
         }
         if s_collection is not None and (
             self.wal.records or os.path.exists(self.wal.snapshot_path)
@@ -582,18 +578,14 @@ class DurableServeState(ServeState):
             self._check_config(snapshot)
             super().__init__(
                 None,
-                backend=backend,
                 compact_ratio=compact_ratio,
                 delta_ratio=delta_ratio,
                 memory_budget=memory_budget,
-                dense_threshold=dense_threshold,
             )
             self.index = IncrementalIndex.restore_state(
                 snapshot["index"],
-                backend=backend,
                 compact_ratio=compact_ratio,
                 delta_ratio=delta_ratio,
-                dense_threshold=dense_threshold,
             )
             self.trie = IncrementalPrefixTree.restore_state(
                 snapshot["trie"], compact_ratio=compact_ratio
@@ -605,11 +597,9 @@ class DurableServeState(ServeState):
         else:
             super().__init__(
                 s_collection,
-                backend=backend,
                 compact_ratio=compact_ratio,
                 delta_ratio=delta_ratio,
                 memory_budget=memory_budget,
-                dense_threshold=dense_threshold,
             )
             start_seq = 0
         self._snapshot_seq = start_seq
@@ -631,6 +621,12 @@ class DurableServeState(ServeState):
     # -- recovery helpers --------------------------------------------------
 
     def _check_config(self, snapshot: Dict[str, Any]) -> None:
+        """Refuse a snapshot taken under different settings.
+
+        Only the keys this server still has are compared, so snapshots
+        recording retired settings (``backend``, ``dense_threshold``)
+        still recover.
+        """
         recorded = snapshot.get("config") or {}
         drift = {
             key: (recorded.get(key), value)

@@ -77,3 +77,32 @@ def small_zipf():
     return generate_zipf(
         cardinality=400, avg_set_size=5, num_elements=60, z=0.6, seed=9
     )
+
+
+#: The array index's two layouts, as ``backend`` parameter ids: ``csr`` is
+#: the index with no bitmap rows, so every list is probed through the CSR
+#: arrays (the layout serve's base index uses); ``hybrid`` is the default,
+#: with bitmap rows for the dense lists.
+ARRAY_LAYOUTS = ("csr", "hybrid")
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Resolve a ``backend`` parameter given with ``indirect=True``.
+
+    ``csr`` runs ``backend="hybrid"`` with every array index packed with
+    ``max_dense=0``; any other id is passed through unchanged.
+    """
+    layout = request.param
+    if layout != "csr":
+        return layout
+    from repro.index.storage import HybridInvertedIndex
+
+    for name in ("build", "from_index"):
+        real = getattr(HybridInvertedIndex, name).__func__
+
+        def no_rows(cls, source, dense_threshold=None, max_dense=0, _real=real):
+            return _real(cls, source, dense_threshold, 0)
+
+        monkeypatch.setattr(HybridInvertedIndex, name, classmethod(no_rows))
+    return "hybrid"

@@ -17,9 +17,7 @@ import pytest
 from repro.data.collection import SetCollection
 from repro.errors import InvalidParameterError
 from repro.index.prefix_tree import IncrementalPrefixTree
-from repro.index.storage import IncrementalIndex
-
-BACKENDS = ["csr", "hybrid"]
+from repro.index.storage import HybridInvertedIndex, IncrementalIndex
 
 
 def brute_supersets(live, record):
@@ -36,12 +34,11 @@ def random_record(rng, universe=30, max_len=6):
     return sorted(rng.sample(range(universe), rng.randint(1, max_len)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestIncrementalIndexGrid:
-    def test_appends_match_scratch_build(self, backend):
+    def test_appends_match_scratch_build(self):
         rng = random.Random(1)
         records = [random_record(rng) for _ in range(40)]
-        inc = IncrementalIndex(backend=backend, auto_compact=False)
+        inc = IncrementalIndex(auto_compact=False)
         for rec in records:
             inc.append(rec)
         live = dict(enumerate(records))
@@ -49,14 +46,14 @@ class TestIncrementalIndexGrid:
             probe = random_record(rng)
             assert inc.supersets_of(probe) == brute_supersets(live, probe)
 
-    def test_interleaving_grid(self, backend):
+    def test_interleaving_grid(self):
         # Every schedule in the grid: (delete position) x (compact point).
         base = [[1, 2, 3], [2, 3], [1, 4], [2, 3, 4], [5]]
         extra = [[1, 2], [3, 4, 5]]
         for delete_sid in range(len(base)):
             for compact_at in ("never", "after_delete", "after_appends"):
                 inc = IncrementalIndex(
-                    SetCollection(base), backend=backend, auto_compact=False
+                    SetCollection(base), auto_compact=False
                 )
                 live = dict(enumerate(s for s in map(sorted, base)))
                 assert inc.delete(delete_sid)
@@ -71,11 +68,11 @@ class TestIncrementalIndexGrid:
                 for probe in ([1, 2], [2, 3], [5], [1, 2, 3, 4, 5], [9]):
                     assert inc.supersets_of(probe) == brute_supersets(
                         live, probe
-                    ), (backend, delete_sid, compact_at, probe)
+                    ), (delete_sid, compact_at, probe)
 
-    def test_randomized_against_bruteforce(self, backend):
+    def test_randomized_against_bruteforce(self):
         rng = random.Random(11)
-        inc = IncrementalIndex(backend=backend, compact_ratio=0.3,
+        inc = IncrementalIndex(compact_ratio=0.3,
                                delta_ratio=0.2)
         live = {}
         for step in range(250):
@@ -98,10 +95,10 @@ class TestIncrementalIndexGrid:
             probe = random_record(rng)
             assert inc.supersets_of(probe) == brute_supersets(live, probe)
 
-    def test_pinned_snapshot_survives_compaction(self, backend):
+    def test_pinned_snapshot_survives_compaction(self):
         inc = IncrementalIndex(
             SetCollection([[1, 2], [2, 3], [1, 2, 3]]),
-            backend=backend, auto_compact=False,
+            auto_compact=False,
         )
         pinned = inc.snapshot()
         pinned_live = {0: [1, 2], 1: [2, 3], 2: [1, 2, 3]}
@@ -124,30 +121,42 @@ class TestIncrementalIndexGrid:
                 now_live, probe
             )
 
-    def test_snapshot_does_not_see_later_appends(self, backend):
-        inc = IncrementalIndex(backend=backend, auto_compact=False)
+    def test_snapshot_does_not_see_later_appends(self):
+        inc = IncrementalIndex(auto_compact=False)
         inc.append([1, 2])
         snap = inc.snapshot()
         inc.append([1, 2, 3])
         assert snap.supersets_of([1]) == [0]
         assert inc.supersets_of([1]) == [0, 1]
 
-    def test_delete_validation(self, backend):
-        inc = IncrementalIndex(backend=backend)
+    def test_delete_validation(self):
+        inc = IncrementalIndex()
         sid = inc.append([1, 2])
         assert inc.delete(sid) is True
         assert inc.delete(sid) is False
         assert inc.delete(999) is False
 
-    def test_append_validation(self, backend):
-        inc = IncrementalIndex(backend=backend)
+    def test_append_validation(self):
+        inc = IncrementalIndex()
         with pytest.raises(InvalidParameterError):
             inc.append([])
         with pytest.raises(InvalidParameterError):
             inc.append([-1, 2])
 
-    def test_sids_stable_across_compaction(self, backend):
-        inc = IncrementalIndex(backend=backend, auto_compact=False)
+    def test_base_has_no_bitmap_rows(self):
+        # The base's only reader is the CSR intersection, so bitmap rows
+        # would be dead weight — even on data where a default build packs
+        # some.
+        data = SetCollection([[0, i % 5 + 1] for i in range(64)])
+        assert HybridInvertedIndex.build(data).num_dense > 0
+        inc = IncrementalIndex(data, auto_compact=False)
+        assert inc.snapshot().base.num_dense == 0
+        inc.append([0, 9])
+        inc.compact()
+        assert inc.snapshot().base.num_dense == 0
+
+    def test_sids_stable_across_compaction(self):
+        inc = IncrementalIndex(auto_compact=False)
         sids = [inc.append([i, i + 1]) for i in range(10)]
         assert sids == list(range(10))
         inc.delete(3)
@@ -229,12 +238,11 @@ class TestIncrementalTrieGrid:
 
 
 class TestCrossStructureEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_index_and_trie_agree_on_equal_sets(self, backend):
+    def test_index_and_trie_agree_on_equal_sets(self):
         # A record equals itself: supersets_of(r) and subsets_of(r) must
         # both contain r's sid whenever it is live, under churn.
         rng = random.Random(5)
-        inc = IncrementalIndex(backend=backend, compact_ratio=0.4)
+        inc = IncrementalIndex(compact_ratio=0.4)
         trie = IncrementalPrefixTree(compact_ratio=0.4)
         live = {}
         for _ in range(120):

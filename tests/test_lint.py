@@ -258,12 +258,26 @@ class TestBackendParity:
             tmp_path,
             """
             def join(r, s, backend="python"):
-                if backend == "csr":
-                    return csr_join(r, s)
+                if backend == "hybrid":
+                    return array_join(r, s)
                 return python_join(r, s)
             """,
         )
         assert findings == []
+
+    def test_retired_literal_is_no_dispatch(self, tmp_path):
+        # "csr" is no longer a backend: testing for it handles neither
+        # registered array case.
+        findings = _lint_source(
+            tmp_path,
+            """
+            def join(r, s, backend="python"):
+                if backend == "csr":
+                    return array_join(r, s)
+                return python_join(r, s)
+            """,
+        )
+        assert _codes(findings) == ["RL401"]
 
     def test_forwarding_clean(self, tmp_path):
         findings = _lint_source(

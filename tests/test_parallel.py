@@ -12,9 +12,9 @@ from repro.core.verify import ground_truth
 from repro.data.collection import SetCollection
 from repro.errors import DegradedExecutionWarning, InvalidParameterError
 from repro.index.inverted import InvertedIndex
-from repro.index.storage import CSRInvertedIndex, HybridInvertedIndex
+from repro.index.storage import HybridInvertedIndex
 
-from conftest import random_instance
+from conftest import ARRAY_LAYOUTS, random_instance
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -122,12 +122,12 @@ class TestParallelJoin:
         assert got == sorted(ground_truth(r, s))
 
 
-class TestParallelCSR:
+class TestParallelArrayBackend:
     @pytest.mark.parametrize("method", ["framework", "framework_et", "tree", "tree_et"])
     def test_matches_ground_truth(self, method):
         r, s = random_instance(9)
         got = sorted(
-            parallel_join(r, s, method=method, workers=2, backend="csr")
+            parallel_join(r, s, method=method, workers=2, backend="hybrid")
         )
         assert got == sorted(ground_truth(r, s))
 
@@ -136,7 +136,7 @@ class TestParallelCSR:
         with pytest.raises(InvalidParameterError):
             parallel_join(r, s, workers=1, backend="gpu")
         with pytest.raises(InvalidParameterError):
-            parallel_join(r, s, method="pretti", workers=1, backend="csr")
+            parallel_join(r, s, method="pretti", workers=1, backend="hybrid")
 
 
 class TestSharedIndexBuildOnce:
@@ -146,17 +146,17 @@ class TestSharedIndexBuildOnce:
     def test_in_process_builds_exactly_once(self, monkeypatch):
         r, s = random_instance(7)
         calls = []
-        real_build = CSRInvertedIndex.build.__func__
+        real_build = HybridInvertedIndex.build.__func__
 
         def counting_build(cls, collection, **kw):
             calls.append(len(collection))
             return real_build(cls, collection, **kw)
 
         monkeypatch.setattr(
-            CSRInvertedIndex, "build", classmethod(counting_build)
+            HybridInvertedIndex, "build", classmethod(counting_build)
         )
         got = sorted(
-            parallel_join(r, s, method="framework", workers=1, backend="csr")
+            parallel_join(r, s, method="framework", workers=1, backend="hybrid")
         )
         assert got == sorted(ground_truth(r, s))
         assert calls == [len(s)]
@@ -178,7 +178,9 @@ class TestSharedIndexBuildOnce:
         assert calls == [len(s)]
 
     @fork_only
-    @pytest.mark.parametrize("backend", ["python", "csr", "hybrid"])
+    @pytest.mark.parametrize(
+        "backend", ["python", *ARRAY_LAYOUTS], indirect=True
+    )
     def test_workers_never_build(self, monkeypatch, backend):
         # Prebuild the index, then poison both build classmethods. Forked
         # workers inherit the poisoned classes, so a clean run proves no
@@ -190,19 +192,14 @@ class TestSharedIndexBuildOnce:
         monkeypatch.setenv("REPRO_CHECK", "0")
         r, s = random_instance(10)
         expected = sorted(ground_truth(r, s))
-        builders = {
-            "python": InvertedIndex,
-            "csr": CSRInvertedIndex,
-            "hybrid": HybridInvertedIndex,
-        }
+        builders = {"python": InvertedIndex, "hybrid": HybridInvertedIndex}
         prebuilt = builders[backend].build(s)
 
         def boom(cls, *a, **kw):
             raise AssertionError("index rebuilt inside a worker")
 
-        # HybridInvertedIndex.build goes through CSRInvertedIndex.build.
         monkeypatch.setattr(InvertedIndex, "build", classmethod(boom))
-        monkeypatch.setattr(CSRInvertedIndex, "build", classmethod(boom))
+        monkeypatch.setattr(HybridInvertedIndex, "build", classmethod(boom))
         got, report = parallel_join(
             r, s, method="framework", workers=2,
             backend=backend, index=prebuilt, return_report=True,
@@ -212,24 +209,24 @@ class TestSharedIndexBuildOnce:
         assert modes and set(modes) == {"pickle"}
 
     def test_prebuilt_index_through_api(self):
-        # Satellite check: set_containment_join accepts a prebuilt index=,
-        # on both backends, and a python-side index upgrades to CSR.
+        # set_containment_join accepts a prebuilt index= on both backends,
+        # and a python-side index upgrades to the array index.
         r, s = random_instance(11)
         expected = sorted(ground_truth(r, s))
         py_index = InvertedIndex.build(s)
-        csr_index = CSRInvertedIndex.build(s)
+        array_index = HybridInvertedIndex.build(s)
         for method in ("framework", "framework_et", "tree", "tree_et"):
             assert sorted(
                 set_containment_join(r, s, method=method, index=py_index)
             ) == expected
             assert sorted(
                 set_containment_join(
-                    r, s, method=method, index=csr_index, backend="csr"
+                    r, s, method=method, index=array_index, backend="hybrid"
                 )
             ) == expected
             assert sorted(
                 set_containment_join(
-                    r, s, method=method, index=py_index, backend="csr"
+                    r, s, method=method, index=py_index, backend="hybrid"
                 )
             ) == expected
 
@@ -243,12 +240,12 @@ class TestWorkerErrors:
         with pytest.warns(DegradedExecutionWarning):
             with pytest.raises((TypeError, InvalidParameterError)):
                 parallel_join(
-                    r, s, method="framework", workers=2, backend="csr",
+                    r, s, method="framework", workers=2, backend="hybrid",
                     retries=0, no_such_keyword_argument=True,
                 )
         # The failed run leaves nothing behind that a second join against
         # the same data could trip over.
         got = sorted(
-            parallel_join(r, s, method="framework", workers=2, backend="csr")
+            parallel_join(r, s, method="framework", workers=2, backend="hybrid")
         )
         assert got == sorted(ground_truth(r, s))

@@ -13,7 +13,7 @@ from repro.data.collection import SetCollection
 from repro.data.synthetic import generate_zipf
 from repro.index.prefix_tree import PrefixTree
 
-from conftest import random_instance
+from conftest import ARRAY_LAYOUTS, random_instance
 
 
 @pytest.mark.parametrize("join", [all_partition_join, lcjoin])
@@ -118,10 +118,10 @@ def test_lcjoin_on_skewed_data_matches_naive():
     assert sink.sorted_pairs() == sorted(ground_truth(data, data))
 
 
-@pytest.mark.parametrize("backend", ["csr", "hybrid"])
+@pytest.mark.parametrize("backend", ARRAY_LAYOUTS, indirect=True)
 @pytest.mark.parametrize("join", [all_partition_join, lcjoin])
 class TestPartitionBackends:
-    """Satellite: partitioned methods accept array backends.
+    """Partitioned methods accept the array backend.
 
     The partition logic itself stays on the python index (anchor lists,
     ``build_local``); only the tree-probing phases repack into the

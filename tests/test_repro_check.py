@@ -1,7 +1,8 @@
 """Tests for the ``REPRO_CHECK=1`` debug-sanitizer mode.
 
 Covers the three sanitizer layers: the sorted-list invariant on the
-Python-backend index, the CSR layout invariant on the array backend, and
+Python-backend index, the CSR and bitmap layout invariants on the array
+index, and
 the cross-backend pair-set spot check wired into
 :func:`repro.core.api.set_containment_join`.
 """
@@ -13,8 +14,7 @@ import pytest
 
 from repro.core.api import set_containment_join
 from repro.core.selfcheck import (
-    check_csr_layout,
-    check_hybrid_layout,
+    check_array_layout,
     check_sorted_lists,
     crosscheck_backends,
     repro_check_enabled,
@@ -22,9 +22,9 @@ from repro.core.selfcheck import (
 from repro.data.collection import SetCollection
 from repro.errors import InvariantViolation, ReproError
 from repro.index.inverted import InvertedIndex
-from repro.index.storage import CSRInvertedIndex, HybridInvertedIndex
+from repro.index.storage import HybridInvertedIndex
 
-ARRAY_BACKENDS = ("csr", "hybrid")
+from conftest import ARRAY_LAYOUTS
 
 
 @pytest.fixture
@@ -100,62 +100,63 @@ def test_append_set_incremental_check(monkeypatch):
     assert list(index[0]) == [0, 1]
 
 
-# -- check_csr_layout ------------------------------------------------------
+# -- check_array_layout: the CSR arrays -------------------------------------
 
 
 def test_csr_layout_pass(collections):
     __, s = collections
-    check_csr_layout(CSRInvertedIndex.build(s))
+    check_array_layout(HybridInvertedIndex.build(s))
 
 
 def test_corrupted_keyed_raises(collections):
     __, s = collections
-    index = CSRInvertedIndex.build(s)
+    index = HybridInvertedIndex.build(s)
     keyed = index.keyed.copy()
     keyed[0], keyed[-1] = keyed[-1], keyed[0]
     index.keyed = keyed  # lint: frozen-mutation-ok (test fixture)
     with pytest.raises(InvariantViolation, match="not globally sorted"):
-        check_csr_layout(index)
+        check_array_layout(index)
 
 
 def test_corrupted_offsets_raise(collections):
     __, s = collections
-    index = CSRInvertedIndex.build(s)
+    index = HybridInvertedIndex.build(s)
     offsets = index.offsets.copy()
     offsets[0] = 1
     index.offsets = offsets  # lint: frozen-mutation-ok (test fixture)
     with pytest.raises(InvariantViolation, match="start at 0"):
-        check_csr_layout(index)
+        check_array_layout(index)
 
 
 def test_truncated_values_raise(collections):
     __, s = collections
-    index = CSRInvertedIndex.build(s)
+    index = HybridInvertedIndex.build(s)
     index.values = index.values[:-1]  # lint: frozen-mutation-ok (fixture)
     with pytest.raises(InvariantViolation):
-        check_csr_layout(index)
+        check_array_layout(index)
 
 
 def test_nonmonotone_offsets_raise(collections):
     __, s = collections
-    index = CSRInvertedIndex.build(s)
+    index = HybridInvertedIndex.build(s)
     offsets = index.offsets.copy()
     if offsets.shape[0] > 2:
         offsets[1] = offsets[-1]
         offsets[-2] = 0
     index.offsets = offsets  # lint: frozen-mutation-ok (test fixture)
     with pytest.raises(InvariantViolation):
-        check_csr_layout(index)
+        check_array_layout(index)
 
 
 def test_csr_build_checked_under_repro_check(collections, monkeypatch):
     monkeypatch.setenv("REPRO_CHECK", "1")
     __, s = collections
-    index = CSRInvertedIndex.build(s)  # clean build must not raise
+    # The resident server's layout: CSR arrays only, no bitmap rows.
+    index = HybridInvertedIndex.build(s, max_dense=0)  # must not raise
     assert index.values.shape[0] == s.total_tokens()
 
 
-# -- check_hybrid_layout ---------------------------------------------------
+# -- check_array_layout: the bitmap rows ------------------------------------
 
 
 def _dense_fixture():
@@ -167,15 +168,18 @@ def _dense_fixture():
 def test_hybrid_layout_pass():
     index = HybridInvertedIndex.build(_dense_fixture())
     assert index.num_dense > 0
-    check_hybrid_layout(index)
+    check_array_layout(index)
 
 
 def test_hybrid_layout_pass_degenerate_thresholds():
-    csr = CSRInvertedIndex.build(_dense_fixture())
-    check_hybrid_layout(HybridInvertedIndex.from_csr(csr, dense_threshold=1))
-    all_sparse = HybridInvertedIndex.from_csr(csr, dense_threshold=10 ** 9)
-    assert all_sparse.num_dense == 0
-    check_hybrid_layout(all_sparse)
+    data = _dense_fixture()
+    check_array_layout(HybridInvertedIndex.build(data, dense_threshold=1))
+    for all_sparse in (
+        HybridInvertedIndex.build(data, dense_threshold=10 ** 9),
+        HybridInvertedIndex.build(data, max_dense=0),
+    ):
+        assert all_sparse.num_dense == 0
+        check_array_layout(all_sparse)
 
 
 def test_corrupted_bitmap_raises():
@@ -184,7 +188,7 @@ def test_corrupted_bitmap_raises():
     bitmap[0] ^= np.uint64(1 << 63)
     index.bitmap = bitmap  # lint: frozen-mutation-ok (test fixture)
     with pytest.raises(InvariantViolation, match="reconstruct"):
-        check_hybrid_layout(index)
+        check_array_layout(index)
 
 
 def test_corrupted_dense_map_raises():
@@ -193,14 +197,14 @@ def test_corrupted_dense_map_raises():
     dense_map[-1] = 0
     index.dense_map = dense_map  # lint: frozen-mutation-ok (test fixture)
     with pytest.raises(InvariantViolation, match="dense_map"):
-        check_hybrid_layout(index)
+        check_array_layout(index)
 
 
 def test_truncated_bitmap_raises():
     index = HybridInvertedIndex.build(_dense_fixture())
     index.bitmap = index.bitmap[:-1]  # lint: frozen-mutation-ok (fixture)
     with pytest.raises(InvariantViolation, match="bitmap length"):
-        check_hybrid_layout(index)
+        check_array_layout(index)
 
 
 def test_unsorted_dense_ids_raise():
@@ -211,7 +215,7 @@ def test_unsorted_dense_ids_raise():
         ids = index.dense_ids[::-1].copy()
     index.dense_ids = ids  # lint: frozen-mutation-ok (test fixture)
     with pytest.raises(InvariantViolation):
-        check_hybrid_layout(index)
+        check_array_layout(index)
 
 
 def test_hybrid_build_checked_under_repro_check(monkeypatch):
@@ -256,7 +260,7 @@ def test_crosscheck_skips_large_instances(collections, monkeypatch):
 # -- end-to-end: the api wires the sanitizer in ----------------------------
 
 
-@pytest.mark.parametrize("backend", ARRAY_BACKENDS)
+@pytest.mark.parametrize("backend", ARRAY_LAYOUTS, indirect=True)
 def test_array_join_crosschecked_end_to_end(collections, monkeypatch, backend):
     monkeypatch.setenv("REPRO_CHECK", "1")
     r, s = collections
@@ -265,7 +269,7 @@ def test_array_join_crosschecked_end_to_end(collections, monkeypatch, backend):
     assert sorted(pairs) == sorted(expected)
 
 
-@pytest.mark.parametrize("backend", ARRAY_BACKENDS)
+@pytest.mark.parametrize("backend", ARRAY_LAYOUTS, indirect=True)
 def test_sanitizer_off_by_default(collections, monkeypatch, backend):
     monkeypatch.delenv("REPRO_CHECK", raising=False)
     r, s = collections
@@ -274,7 +278,7 @@ def test_sanitizer_off_by_default(collections, monkeypatch, backend):
     assert sorted(pairs) == sorted(expected)
 
 
-@pytest.mark.parametrize("backend", ARRAY_BACKENDS)
+@pytest.mark.parametrize("backend", ARRAY_LAYOUTS, indirect=True)
 @pytest.mark.parametrize("method", ["framework", "tree", "lcjoin"])
 def test_sanitized_joins_match_bruteforce(method, monkeypatch, backend):
     monkeypatch.setenv("REPRO_CHECK", "1")

@@ -317,7 +317,7 @@ class TestCheckpointRoundtrip:
 # -- kill/resume chaos ------------------------------------------------------
 
 
-def _run_driver_once(seed, ckpt, fault_spec, backend="csr", conn=None):
+def _run_driver_once(seed, ckpt, fault_spec, backend="hybrid", conn=None):
     """Child-process body: one driver attempt over the checkpoint dir."""
     r, s = random_instance(seed)
     plan = FaultPlan.parse(fault_spec) if fault_spec else None
@@ -370,7 +370,7 @@ class TestKillResumeChaos:
         with use_registry(reg):
             # The all-resumed path runs in this process to read the report.
             pairs, report = parallel_join(
-                r, s, method="framework", workers=4, backend="csr",
+                r, s, method="framework", workers=4, backend="hybrid",
                 checkpoint_dir=ckpt, resume=True, return_report=True,
             )
         assert sorted(pairs) == expected

@@ -169,10 +169,10 @@ class TestServeState:
         assert out == {"index_epoch": 1, "trie_epoch": 1}
 
     def test_stats_shape(self):
-        state = ServeState(SetCollection([[1, 2], [3]]), backend="csr")
+        state = ServeState(SetCollection([[1, 2], [3]]))
         stats = state.handle("stats", {}, None)
         assert stats["live_records"] == 2
-        assert stats["backend"] == "csr"
+        assert "backend" not in stats
         assert set(stats["latency"]) == {"request", "publish", "query"}
 
     def test_metrics_op_flushes_gauges(self):
@@ -361,7 +361,6 @@ class TestServeCLI:
         metrics = tmp_path / "metrics.json"
         proc, sock = self._spawn(
             tmp_path, str(dataset), "--metrics", str(metrics),
-            "--backend", "hybrid",
         )
         try:
             with ServeClient(socket_path=sock) as client:

@@ -184,10 +184,32 @@ class TestRecovery:
     def test_config_drift_refused(self, tmp_path):
         d = str(tmp_path / "data")
         DurableServeState(
-            SetCollection([[1, 2]]), data_dir=d, backend="csr"
+            SetCollection([[1, 2]]), data_dir=d, compact_ratio=0.5
         ).shutdown_flush()
-        with pytest.raises(ResumeMismatchError, match="backend"):
-            DurableServeState(data_dir=d, backend="hybrid")
+        with pytest.raises(ResumeMismatchError, match="compact_ratio"):
+            DurableServeState(data_dir=d, compact_ratio=0.25)
+
+    @pytest.mark.parametrize("backend", ["csr", "hybrid"])
+    def test_snapshot_with_retired_config_keys_recovers(self, tmp_path, backend):
+        # Older servers recorded ``backend`` and ``dense_threshold`` in the
+        # snapshot config. Those settings are gone; a data dir carrying
+        # them must still recover, from its snapshot, to the same state.
+        d = str(tmp_path / "data")
+        state = DurableServeState(data_dir=d, snapshot_every=4)
+        _apply_script(state)
+        before = _observe(state)
+        snapshot = state.wal.load_snapshot()
+        assert snapshot["seq"] == 4
+        snapshot["config"].update(backend=backend, dense_threshold=None)
+        state.wal.write_snapshot(snapshot)
+        state.wal.close()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fallback to full replay
+            recovered = DurableServeState(data_dir=d)
+        assert recovered._snapshot_seq == 4
+        assert _observe(recovered) == before
+        recovered.shutdown_flush()
 
     def test_torn_tail_truncated_at_every_byte_offset(self, tmp_path):
         # Build a clean log, then re-recover from a copy truncated at

@@ -191,7 +191,7 @@ class TestChaosAcceptance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a clean recovery: no degradation
             pairs, report = parallel_join(
-                r, s, method="framework", backend="csr",
+                r, s, method="framework", backend="hybrid",
                 task_timeout=2.0, faults=plan, return_report=True, **mode,
             )
         assert sorted(pairs) == expected
@@ -213,7 +213,7 @@ class TestChaosAcceptance:
         r, s = random_instance(22)
         expected = sorted(set_containment_join(r, s, method="framework"))
         pairs, report = parallel_join(
-            r, s, method="framework", backend="csr",
+            r, s, method="framework", backend="hybrid",
             faults=FaultPlan.parse("*:1:raise"), return_report=True, **mode,
         )
         assert sorted(pairs) == expected
@@ -235,7 +235,7 @@ class TestDegradation:
         expected = sorted(set_containment_join(r, s, method="framework"))
         with pytest.warns(DegradedExecutionWarning):
             pairs, report = parallel_join(
-                r, s, method="framework", backend="csr",
+                r, s, method="framework", backend="hybrid",
                 retries=1, faults=FaultPlan.parse("*:*:raise"),
                 return_report=True, **mode,
             )
@@ -254,7 +254,7 @@ class TestDegradation:
         r, s = random_instance(25)
         with pytest.raises(WorkerFailedError) as excinfo:
             parallel_join(
-                r, s, method="framework", backend="csr",
+                r, s, method="framework", backend="hybrid",
                 retries=0, fallback=False,
                 faults=FaultPlan.parse("*:*:crash"), **mode,
             )
@@ -268,7 +268,7 @@ class TestDegradation:
         r, s = random_instance(26)
         with pytest.raises(JoinTimeoutError):
             parallel_join(
-                r, s, method="framework", backend="csr",
+                r, s, method="framework", backend="hybrid",
                 retries=0, fallback=False, task_timeout=0.5,
                 faults=FaultPlan.parse("*:*:hang=60"), **mode,
             )
@@ -284,7 +284,7 @@ class TestActivation:
         r, s = random_instance(27)
         expected = sorted(set_containment_join(r, s, method="framework"))
         pairs, report = parallel_join(
-            r, s, method="framework", workers=2, backend="csr",
+            r, s, method="framework", workers=2, backend="hybrid",
             return_report=True,
         )
         assert sorted(pairs) == expected
@@ -296,7 +296,7 @@ class TestActivation:
         monkeypatch.setenv("REPRO_FAULTS", "*:*:crash")
         r, s = random_instance(28)
         pairs, report = parallel_join(
-            r, s, method="framework", workers=2, backend="csr",
+            r, s, method="framework", workers=2, backend="hybrid",
             faults=FaultPlan.parse("*:1:raise"), return_report=True,
         )
         assert sorted(pairs) == sorted(
@@ -351,7 +351,7 @@ class TestActivation:
     def test_report_summary_renders(self, shm_leak_check):
         r, s = random_instance(30)
         __, report = parallel_join(
-            r, s, method="framework", workers=2, backend="csr",
+            r, s, method="framework", workers=2, backend="hybrid",
             faults=FaultPlan.parse("*:1:crash"), return_report=True,
         )
         text = report.summary()

@@ -26,7 +26,7 @@ RL301     hot-loop              no scalar Python loops or comprehensions in
                                 hot-path modules unless marked
                                 ``# lint: scalar-fallback``
 RL401     backend-parity        every public ``backend=`` function dispatches
-                                both ``"python"`` and ``"csr"``
+                                both ``"python"`` and ``"hybrid"``
 RL501     span-name             every ``trace_span`` name is a catalogued
                                 dotted-lowercase literal
 RL601     atomic-write          the run log writes only through the atomic

@@ -1,6 +1,6 @@
 """RL401 — public ``backend=`` functions dispatch every registered backend.
 
-``backend="python" | "csr" | "hybrid"`` is a contract: all backends
+``backend="python" | "hybrid"`` is a contract: both backends
 produce the identical pair set and every public entry point that accepts
 the parameter must either handle the array cases or validate-and-forward
 it. The failure mode this guards against is a new public API that grows a
@@ -11,9 +11,9 @@ catch it if someone remembers to parametrise them.
 A public function (name without a leading underscore) with a ``backend``
 parameter passes if its body shows *evidence of dispatch*, any of:
 
-* a comparison or membership test against the ``"csr"`` / ``"hybrid"`` /
+* a comparison or membership test against the ``"hybrid"`` /
   ``"python"`` literals or the ``BACKENDS`` registry (``backend ==
-  "csr"``, ``backend not in BACKENDS``);
+  "hybrid"``, ``backend not in BACKENDS``);
 * forwarding — ``backend=backend`` keyword, ``kwargs["backend"] =``
   subscript store, or passing the name positionally into another call.
 
@@ -33,7 +33,7 @@ CODE = "RL401"
 MARKER = "backend-agnostic"
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-_BACKEND_LITERALS = {"python", "csr", "hybrid"}
+_BACKEND_LITERALS = {"python", "hybrid"}
 
 
 def _has_backend_param(func: _FunctionNode) -> bool:
@@ -50,7 +50,7 @@ def _mentions_backend(node: ast.AST) -> bool:
 
 def _dispatch_evidence(func: _FunctionNode) -> bool:
     for node in ast.walk(func):
-        # backend == "csr" / backend != "python" / backend in BACKENDS ...
+        # backend == "hybrid" / backend != "python" / backend in BACKENDS ...
         if isinstance(node, ast.Compare) and _mentions_backend(node):
             for comp in node.comparators:
                 if isinstance(comp, ast.Constant) and comp.value in _BACKEND_LITERALS:

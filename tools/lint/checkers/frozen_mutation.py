@@ -1,7 +1,7 @@
 """RL101 — frozen index storage is never mutated outside its builders.
 
 The gap-skipping probes (paper §IV) are only sound on *sorted* inverted
-lists, and the CSR backend goes further: ``offsets``/``values``/``keyed``
+lists, and the array index goes further: ``offsets``/``values``/``keyed``
 must stay exactly as built or the globally-sorted composite-key invariant
 (one ``searchsorted`` answering any probe batch) silently breaks. The only
 code allowed to write those structures is the pair of builder modules —
