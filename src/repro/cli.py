@@ -51,10 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_join.add_argument("--method", default="lcjoin", choices=join_methods())
     p_join.add_argument("--backend", default="python", choices=BACKENDS,
-                        help="index representation: python (bisect loops) "
-                        "or hybrid (numpy CSR arrays plus bitmap rows for "
-                        "dense lists, probed by the batched kernel); "
-                        "identical results either way")
+                        help="index for framework/framework_et: python "
+                        "(bisect loops) or hybrid (numpy CSR arrays plus "
+                        "bitmap rows for dense lists, probed by the batched "
+                        "kernel); the tree methods probe python lists on "
+                        "both; identical results either way")
     p_join.add_argument("--tokens", action="store_true",
                         help="treat tokens as strings instead of integers")
     p_join.add_argument("--count-only", action="store_true",

@@ -26,6 +26,7 @@ from ..errors import InvalidParameterError, UnknownMethodError
 from ..obs import registry as _obs
 from ..obs.registry import MetricsRegistry, use_registry
 from ..obs.spans import trace_span
+from .backends import BACKENDS
 from .framework import framework_join
 from .partition import all_partition_join, lcjoin
 from .results import PairListSink, PairSink, make_sink
@@ -37,19 +38,19 @@ __all__ = [
     "join_methods",
     "JOIN_METHODS",
     "BACKENDS",
-    "BACKEND_METHODS",
+    "ARRAY_METHODS",
+    "TREE_METHODS",
 ]
 
-#: Registered array backends for the index layer.
-BACKENDS = ("python", "hybrid")
-
-#: Methods that probe through the inverted index and therefore understand
-#: the ``backend=`` parameter. The partitioned methods repack their
-#: per-partition local indexes into the chosen representation; the
-#: baselines use their own structures and stay on the Python backend.
-BACKEND_METHODS = frozenset(
-    {"framework", "framework_et", "tree", "tree_et", "all_partition", "lcjoin"}
-)
+#: Which index each paper method probes; both kinds take a prebuilt
+#: ``index=`` and accept ``backend=``, the baselines take neither.
+#: The flat methods probe the array index on an array backend, through
+#: the batched kernel and its bitmap rows.
+ARRAY_METHODS = frozenset({"framework", "framework_et"})
+#: The tree methods bind python lists on every backend (one binary search
+#: per node cursor reads neither the kernel nor the bitmap rows) and also
+#: take a prebuilt global ``order=``.
+TREE_METHODS = frozenset({"tree", "tree_et", "all_partition", "lcjoin"})
 
 # Each adapter takes (R, S, sink, stats=..., **kwargs).
 JOIN_METHODS: Dict[str, Callable] = {
@@ -133,10 +134,12 @@ def set_containment_join(
         (:class:`~repro.index.storage.HybridInvertedIndex`: contiguous
         numpy CSR arrays plus uint64 bitmap rows for the densest lists)
         probed by the batched kernel in :mod:`repro.index.kernels`. Both
-        produce the identical pair set. The array backend is supported
-        by the index-probing methods (``framework``, ``framework_et``,
-        ``tree``, ``tree_et``, ``all_partition``, ``lcjoin``) and raises
-        :class:`~repro.errors.InvalidParameterError` elsewhere.
+        produce the identical pair set. Only ``framework`` and
+        ``framework_et`` probe the array index; the tree methods
+        (``tree``, ``tree_et``, ``all_partition``, ``lcjoin``) accept
+        ``"hybrid"`` and bind python lists on it as on ``"python"``. The
+        baselines raise :class:`~repro.errors.InvalidParameterError` on
+        an array backend.
     workers:
         When set, the join runs through the supervised multiprocess driver
         (:func:`repro.core.parallel.parallel_join`) with that many worker
@@ -242,6 +245,21 @@ def set_containment_join(
     return pairs if collect == "pairs" else count
 
 
+def check_backend(method: str, backend: str) -> None:
+    """Raise :class:`InvalidParameterError` unless ``method`` runs on
+    ``backend``: every paper method accepts every registered backend, the
+    baselines only ``"python"``."""
+    if backend not in BACKENDS:
+        raise InvalidParameterError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if backend != "python" and method not in ARRAY_METHODS | TREE_METHODS:
+        raise InvalidParameterError(
+            f"backend={backend!r} is only supported by "
+            f"{sorted(ARRAY_METHODS | TREE_METHODS)}; got method={method!r}"
+        )
+
+
 def join_into(
     r_collection: SetCollection,
     s_collection: SetCollection,
@@ -256,7 +274,8 @@ def join_into(
     The dispatch core of :func:`set_containment_join`, shared with the
     parallel driver's chunk runner: resolves ``"auto"``, validates the
     method and backend, runs the method under the ``join.run`` span and
-    applies the ``REPRO_CHECK`` cross-check to array-backend pair lists.
+    applies the ``REPRO_CHECK`` cross-check to the pair lists of the
+    methods that probe the array index.
     It leaves ``stats.results``, ``stats.elapsed_seconds`` and the
     registry's ``join.*`` mirror to the caller, so a parallel chunk's
     counters reach the caller's stats once, through the chunk result.
@@ -271,16 +290,8 @@ def join_into(
         impl = JOIN_METHODS[method]
     except KeyError:
         raise UnknownMethodError(method, join_methods()) from None
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
+    check_backend(method, backend=backend)
     if backend != "python":
-        if method not in BACKEND_METHODS:
-            raise InvalidParameterError(
-                f"backend={backend!r} is only supported by "
-                f"{sorted(BACKEND_METHODS)}; got method={method!r}"
-            )
         kwargs["backend"] = backend
     start = time.perf_counter()
     with trace_span("join.run"):
@@ -288,6 +299,7 @@ def join_into(
     elapsed = time.perf_counter() - start
     if (
         backend != "python"
+        and method in ARRAY_METHODS
         and isinstance(sink, PairListSink)
         and os.environ.get("REPRO_CHECK", "") not in ("", "0")
     ):

@@ -11,11 +11,11 @@ and, for the tree/partition methods, the frequency
 (:func:`build_method_index`) and travels to every worker node inside the
 job factory the node receives when it starts. Under the fork start method
 that is copy-on-write memory: no copy, no pickling. Elsewhere the factory
-is pickled once per node, never per job. The array-probing methods get
-the array index (:class:`~repro.index.storage.HybridInvertedIndex`); the
-partitioned methods build *local* indexes per partition, so they take the
-python :class:`~repro.index.inverted.InvertedIndex` whatever the backend
-and repack in-worker.
+is pickled once per node, never per job. ``framework``/``framework_et``
+on ``"hybrid"`` get the array index
+(:class:`~repro.index.storage.HybridInvertedIndex`); the tree methods
+bind python lists on every backend, so they get the python
+:class:`~repro.index.inverted.InvertedIndex`.
 
 Chunking follows the paper's partitioning (§V) for the four methods that
 run over the global order (``tree``, ``tree_et``, ``all_partition``,
@@ -84,7 +84,7 @@ from ..index.inverted import InvertedIndex
 from ..index.storage import HybridInvertedIndex
 from ..memory.meter import collection_footprint
 from ..obs.registry import active_or_null
-from .api import BACKEND_METHODS, BACKENDS, join_into
+from .api import ARRAY_METHODS, TREE_METHODS, check_backend, join_into
 from .order import GlobalOrder, build_order
 from .results import AttemptRecord, JoinReport, PairListSink, pair_columns
 from .runlog import (
@@ -97,6 +97,7 @@ from .runlog import (
 )
 from .stats import JoinStats
 from .supervisor import Coordinator, ShardPolicy, check_abort, start_report
+from .tree_join import check_tree_args
 
 __all__ = [
     "parallel_join",
@@ -107,18 +108,6 @@ __all__ = [
 ]
 
 Pair = Tuple[int, int]
-
-#: Methods that accept a prebuilt global ``index=`` (superset side).
-_INDEX_METHODS = frozenset(
-    {"framework", "framework_et", "tree", "tree_et", "all_partition", "lcjoin"}
-)
-#: The subset of those that probe the global index directly and therefore
-#: consume an array ``index=`` as-is. The partitioned methods need the
-#: python index API (anchor lists, ``build_local``) and repack per
-#: partition, so they always ship the python index.
-_ARRAY_INDEX_METHODS = frozenset({"framework", "framework_et", "tree", "tree_et"})
-#: Methods that accept a prebuilt global ``order=`` as well.
-_ORDER_METHODS = frozenset({"tree", "tree_et", "all_partition", "lcjoin"})
 
 
 class ChunkResult(NamedTuple):
@@ -234,12 +223,11 @@ def build_method_index(
 
     One decision point shared by the driver (which builds once and ships
     the result to every worker) and by shard nodes (which build their own
-    copy in-process — sharded runs share no memory across nodes). The
-    array-probing methods take the array index directly; the
-    partitioned methods need the python index API (anchor lists,
-    ``build_local``) whatever the backend and repack per partition; the
+    copy in-process — sharded runs share no memory across nodes).
+    ``framework``/``framework_et`` on ``"hybrid"`` take the array index;
+    the tree methods take the python index on every backend; the
     baselines build their own structures and take no index at all. A
-    caller-provided ``index`` is converted when the backend needs the
+    caller-provided ``index`` is converted when the method needs the
     array form, and passed through otherwise.
     """
     if _uses_array_index(method, backend=backend):
@@ -248,7 +236,7 @@ def build_method_index(
         if isinstance(index, InvertedIndex):
             return HybridInvertedIndex.from_index(index)
         return index
-    if index is None and method in _INDEX_METHODS:
+    if index is None and (method in ARRAY_METHODS or method in TREE_METHODS):
         return InvertedIndex.build(s_collection)
     return index
 
@@ -259,7 +247,7 @@ def _uses_array_index(method: str, backend: str) -> bool:
     The one decision behind both :func:`build_method_index` and the
     memory-admission price of the index (:func:`_admit_memory`).
     """
-    return backend != "python" and method in _ARRAY_INDEX_METHODS
+    return backend != "python" and method in ARRAY_METHODS
 
 
 def _join_chunk(args: Tuple[Any, ...]) -> ChunkResult:
@@ -358,12 +346,12 @@ def _admit_memory(
     index is a *fixed* cost paid once, because worker nodes inherit it
     copy-on-write and only read its buffers; the python index is a
     *per-worker* cost, because reference counts are written into every
-    page a node reads, so each node soon holds its own copy. The
-    partitioned methods take the python index on every backend, and are
-    priced so. Each concurrent worker
-    additionally holds one R-chunk, priced at the *largest* chunk of the
-    split that will actually run — the anchor split balances record
-    counts, not entries, so its largest chunk can cost more than the mean.
+    page a node reads, so each node soon holds its own copy. The tree
+    methods take the python index on every backend, and are priced so.
+    Each concurrent worker additionally holds one R-chunk, priced at the
+    *largest* chunk of the split that will actually run — the anchor split
+    balances record counts, not entries, so its largest chunk can cost
+    more than the mean.
     Two knobs, applied in order: re-split R into more chunks until the
     largest fits one worker, then cap the number of concurrent workers so
     the sum fits. ``allow_split=False`` (resume: the chunk split is fixed
@@ -463,7 +451,9 @@ def parallel_join(
 
     The superset-side index is built **once** here and every worker node
     joins against it: nodes inherit it at fork (under other start methods
-    it is pickled once per node), bitmap rows included on ``"hybrid"``.
+    it is pickled once per node), bitmap rows included when
+    ``framework``/``framework_et`` run on ``"hybrid"``. A tree method
+    refuses a prebuilt array ``index=`` before any node starts.
     Pass a prebuilt ``index=`` to skip even the single parent-side build,
     e.g. when issuing many joins against the same ``S``. ``strategy``
     selects the ``R`` chunking (:func:`split_collection`): ``"anchor"`` (whole
@@ -521,15 +511,9 @@ def parallel_join(
     workers = workers if workers is not None else multiprocessing.cpu_count()
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend != "python" and method not in BACKEND_METHODS:
-        raise InvalidParameterError(
-            f"backend={backend!r} is only supported by "
-            f"{sorted(BACKEND_METHODS)}; got method={method!r}"
-        )
+    check_backend(method, backend=backend)
+    if method in TREE_METHODS:
+        check_tree_args(index, backend=backend)
     if deadline is not None and deadline <= 0:
         raise InvalidParameterError(f"deadline must be positive, got {deadline}")
     if memory_budget is not None and memory_budget <= 0:
@@ -579,20 +563,20 @@ def parallel_join(
                 for chunk_id, (rids, sids) in spilled.items()
             }
     if strategy is None:
-        strategy = "anchor" if method in _ORDER_METHODS else "round_robin"
+        strategy = "anchor" if method in TREE_METHODS else "round_robin"
 
     # One global order serves both the anchor split and, for the methods
     # that take it, every worker's join.
     extra: Dict[str, Any] = {}
     order = kwargs.get("order")
     if order is None and n_records > 0 and (
-        method in _ORDER_METHODS or strategy == "anchor"
+        method in TREE_METHODS or strategy == "anchor"
     ):
         universe = max(
             r_collection.max_element(), s_collection.max_element()
         ) + 1
         order = build_order(s_collection, universe=universe)
-        if method in _ORDER_METHODS:
+        if method in TREE_METHODS:
             extra["order"] = order
 
     def split(count: int) -> _Chunks:

@@ -25,13 +25,11 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..data.collection import SetCollection
-from ..errors import InvalidParameterError
 from ..index.inverted import InvertedIndex
 from ..index.prefix_tree import PrefixTree, TreeNode
-from ..obs.spans import trace_span
 from .order import GlobalOrder, build_order
 from .stats import JoinStats
-from .tree_join import run_tree_join
+from .tree_join import check_tree_args, run_tree_join
 
 __all__ = ["all_partition_join", "lcjoin", "partition_sizes"]
 
@@ -43,20 +41,16 @@ def _prepare(
     index: Optional[InvertedIndex],
     tree: Optional[PrefixTree],
     stats: Optional[JoinStats],
+    backend: str,
 ) -> Tuple[GlobalOrder, InvertedIndex, PrefixTree]:
-    """Build (or pass through) the order, global index and prefix tree.
+    """Validate the arguments; build (or pass through) the order, global
+    index and prefix tree.
 
     The partitioning logic needs the python ``InvertedIndex`` API (anchor
-    membership lists, ``build_local``) whatever probing backend runs below
-    it, so a prebuilt ``index`` must be that type; array backends pack
-    per-partition probe indexes from it (see :func:`_pack_index`).
+    membership lists, ``build_local``), and the traversal binds its lists,
+    on every backend.
     """
-    if index is not None and not isinstance(index, InvertedIndex):
-        raise InvalidParameterError(
-            "partitioned methods need a python InvertedIndex as the "
-            f"prebuilt index (got {type(index).__name__}); array backends "
-            "repack per partition internally"
-        )
+    check_tree_args(index, backend=backend)
     if index is None:
         index = InvertedIndex.build(s_collection)
         if stats is not None:
@@ -69,22 +63,6 @@ def _prepare(
     if stats is not None:
         stats.tree_nodes += tree.num_nodes
     return order, index, tree
-
-
-def _pack_index(index: InvertedIndex, backend: str):
-    """Repack a python index for the probing ``backend`` (identity for it).
-
-    Local partition indexes are small, so the pack cost is the same order
-    as the local build the partition already paid; the traversal then
-    probes zero-copy numpy views (and carries bitmap rows usable by any
-    flat-probing consumer of the same index).
-    """
-    if backend == "python":
-        return index
-    from ..index.storage import HybridInvertedIndex
-
-    with trace_span("index.csr_pack"):
-        return HybridInvertedIndex.from_index(index)
 
 
 def partition_sizes(tree: PrefixTree) -> List[Tuple[int, int, TreeNode]]:
@@ -114,7 +92,6 @@ def _run_partition_local(
     sink,
     early_termination: bool,
     stats: Optional[JoinStats],
-    backend: str = "python",
 ) -> None:
     """Process one partition against its freshly built local index (§V-A)."""
     members = index[anchor]
@@ -129,7 +106,7 @@ def _run_partition_local(
         stats.index_build_tokens += local.construction_cost
         stats.partitions_local += 1
     run_tree_join(
-        tree, _pack_index(local, backend), sink,
+        tree, local, sink,
         early_termination=early_termination, subtree=subtree, stats=stats,
     )
 
@@ -147,15 +124,16 @@ def all_partition_join(
 ) -> None:
     """``AllPartition`` (§V-A): every partition gets a local inverted index.
 
-    ``backend`` selects the probe-side index representation for each
-    partition-local join (``"hybrid"`` repacks the local index;
-    results are identical across backends).
+    ``backend`` is validated and otherwise ignored, as in
+    :func:`~repro.core.tree_join.tree_join`.
     """
-    __, index, tree = _prepare(r_collection, s_collection, order, index, tree, stats)
+    __, index, tree = _prepare(
+        r_collection, s_collection, order, index, tree, stats, backend=backend
+    )
     for anchor, subtree in tree.partition_roots():
         _run_partition_local(
             subtree, anchor, tree, index, s_collection, sink,
-            early_termination, stats, backend=backend,
+            early_termination, stats,
         )
 
 
@@ -179,16 +157,15 @@ def lcjoin(
     consecutive partitions, all remaining partitions switch to local
     indexes. Join results are identical either way — only the cost differs.
 
-    ``backend`` selects the probe-side index representation: the global
-    index is packed once for the global-probing phase, each local index on
-    switch; the cost model meters abstract units, so the global/local
-    decision is backend-independent.
+    ``backend`` is validated and otherwise ignored, as in
+    :func:`~repro.core.tree_join.tree_join`.
     """
-    __, index, tree = _prepare(r_collection, s_collection, order, index, tree, stats)
+    __, index, tree = _prepare(
+        r_collection, s_collection, order, index, tree, stats, backend=backend
+    )
     n_total = len(index.universe)
     if n_total == 0:
         return
-    probe_index = _pack_index(index, backend)
     ordered = sorted(partition_sizes(tree), key=lambda item: item[0])
     streak = 0
     use_local = False
@@ -196,12 +173,12 @@ def lcjoin(
         if use_local:
             _run_partition_local(
                 subtree, anchor, tree, index, s_collection, sink,
-                early_termination, stats, backend=backend,
+                early_termination, stats,
             )
             continue
         meter = JoinStats()
         run_tree_join(
-            tree, probe_index, sink, early_termination=early_termination,
+            tree, index, sink, early_termination=early_termination,
             subtree=subtree, stats=meter,
         )
         if stats is not None:

@@ -25,7 +25,8 @@ asserts at the structural seams:
   after a build, its bitmap rows reconstruct bit-exactly to their CSR
   value slices and its dense routing tables are mutually inverse
   (:func:`check_array_layout`);
-* array-backend joins (``backend="hybrid"``) on small instances are
+* ``framework``/``framework_et`` joins on ``backend="hybrid"`` (the
+  methods that probe the array index) on small instances are
   spot-checked against the Python backend pair set
   (:func:`crosscheck_backends`).
 

@@ -59,17 +59,44 @@ from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
 from ..data.collection import SetCollection
+from ..errors import InvalidParameterError
 from ..index.inverted import InvertedIndex
 from ..index.prefix_tree import PrefixTree, TreeNode
 from ..obs import registry as _obs
 from ..obs.spans import trace_span
+from .backends import BACKENDS
 from .order import GlobalOrder, build_order
 from .stats import JoinStats
 
-__all__ = ["tree_join", "run_tree_join", "bind_tree", "postorder_traverse"]
+__all__ = [
+    "tree_join",
+    "run_tree_join",
+    "bind_tree",
+    "postorder_traverse",
+    "check_tree_args",
+]
 
 _EMPTY: Tuple[int, ...] = ()
 _BOTTOM = -1
+
+
+def check_tree_args(index, backend: str) -> None:
+    """Validate the ``index=`` and ``backend=`` a tree method was given.
+
+    The tree methods bind python lists on every registered backend, so
+    ``backend`` selects nothing here, and a prebuilt ``index`` must be the
+    python :class:`~repro.index.inverted.InvertedIndex`.
+    """
+    if backend not in BACKENDS:
+        raise InvalidParameterError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if index is not None and not isinstance(index, InvertedIndex):
+        raise InvalidParameterError(
+            "tree methods need a python InvertedIndex as the prebuilt "
+            f"index (got {type(index).__name__}); they bind python lists "
+            "on every backend"
+        )
 
 
 def bind_tree(tree: PrefixTree, index: InvertedIndex, subtree: Optional[TreeNode] = None) -> int:
@@ -324,9 +351,7 @@ def run_tree_join(
         while root.max_sid < inf_sid:
             rounds += 1
             postorder_traverse(root, first_sid, inf_sid, early_termination, stats)
-            # int() keeps emitted sids plain Python ints even when the bound
-            # lists are numpy views (the array backend hands back numpy scalars).
-            sid = int(root.max_sid)
+            sid = root.max_sid
             if sid < inf_sid and root.rid_list:
                 sink.add_rids(root.rid_list, sid)
     if stats is not None:
@@ -342,7 +367,7 @@ def tree_join(
     sink,
     early_termination: bool = False,
     order: Optional[GlobalOrder] = None,
-    index=None,
+    index: Optional[InvertedIndex] = None,
     tree: Optional[PrefixTree] = None,
     patricia: bool = False,
     stats: Optional[JoinStats] = None,
@@ -355,30 +380,15 @@ def tree_join(
     prefix tree on ``R`` unless prebuilt ones are supplied, then runs
     Algorithm 2. ``patricia=True`` path-compresses the tree first (§IV-A).
 
-    ``backend="hybrid"`` binds the tree against a
-    :class:`~repro.index.storage.HybridInvertedIndex`: node lists become
-    zero-copy numpy views over one contiguous postings array, which is what
-    allows a parallel driver to share a single index across workers, and
-    one build can serve both tree and framework runs. The traversal itself
-    is unchanged (it is inherently pointer-chasing and probes through
-    ``get_list`` views; the vectorized wins live in the flat framework —
-    see docs/internals.md).
+    ``backend`` is validated and otherwise ignored: the traversal binds
+    python lists on every backend (see :func:`check_tree_args`).
     """
+    check_tree_args(index, backend=backend)
     if index is None:
         with trace_span("index.build"):
-            if backend == "hybrid":
-                from ..index.storage import HybridInvertedIndex
-
-                index = HybridInvertedIndex.build(s_collection)
-            else:
-                index = InvertedIndex.build(s_collection)
+            index = InvertedIndex.build(s_collection)
         if stats is not None:
             stats.index_build_tokens += index.construction_cost
-    elif backend == "hybrid" and isinstance(index, InvertedIndex):
-        from ..index.storage import HybridInvertedIndex
-
-        with trace_span("index.csr_pack"):
-            index = HybridInvertedIndex.from_index(index)
     if order is None:
         universe = max(r_collection.max_element(), s_collection.max_element()) + 1
         with trace_span("order.build"):

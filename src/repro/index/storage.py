@@ -45,7 +45,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -53,7 +52,7 @@ import numpy as np
 from ..data.collection import SetCollection
 from ..errors import DatasetError, InvalidParameterError
 from ..obs import registry as _obs
-from .inverted import EMPTY_LIST, InvertedIndex
+from .inverted import InvertedIndex
 from .search import contains_sorted
 
 __all__ = [
@@ -182,43 +181,6 @@ def _debug_check_layout(index: "HybridInvertedIndex") -> "HybridInvertedIndex":
     return index
 
 
-class _CSRListMapping:
-    """Dict-like view over CSR lists, so tree binding works unchanged.
-
-    ``bind_tree`` (and anything else written against ``InvertedIndex.lists``)
-    only needs ``get``; lookups return zero-copy numpy slices of ``values``.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: "HybridInvertedIndex") -> None:
-        self._index = index
-
-    def get(
-        self, element: int, default: object = EMPTY_LIST
-    ) -> Union[np.ndarray, object]:
-        idx = self._index
-        if 0 <= element < idx.num_slots:
-            lo = idx.offsets[element]
-            hi = idx.offsets[element + 1]
-            if lo != hi:
-                return idx.values[lo:hi]
-        return default
-
-    def __getitem__(self, element: int) -> np.ndarray:
-        lst = self.get(element, None)
-        if lst is None:
-            raise KeyError(element)
-        return lst  # type: ignore[return-value]
-
-    def __contains__(self, element: int) -> bool:
-        return self.get(element, None) is not None
-
-    def __len__(self) -> int:
-        counts = np.diff(self._index.offsets)
-        return int(np.count_nonzero(counts))
-
-
 #: Cap on bitmap rows per index: rows cost ``ceil(inf_sid / 64)`` words
 #: each, and past the densest ~1k elements the probe traffic per extra row
 #: no longer pays for the memory (Zipf mass concentrates hard at the top).
@@ -261,8 +223,8 @@ class HybridInvertedIndex:
     masking at most two bitmap words and bit-scanning, falls back to
     ``keyed`` for the rare cross-word gaps, and gallops the sparse lists
     from per-slot cursors — all while reproducing the exact candidate
-    sequence of the scalar loop. Everything else (tree binding,
-    :meth:`record_probe`, :meth:`supersets_of`) reads the CSR arrays only.
+    sequence of the scalar loop. Everything else (:meth:`record_probe`,
+    :meth:`supersets_of`) reads the CSR arrays only.
 
     An element goes dense when its list length reaches
     ``dense_threshold`` — by default the break-even density suggested by
@@ -271,11 +233,12 @@ class HybridInvertedIndex:
     Degenerate layouts are legal: ``dense_threshold=1`` packs every
     non-empty list, ``max_dense=0`` packs none.
 
-    The class is API-compatible with :class:`~repro.index.inverted
-    .InvertedIndex` for probing (``lists``/``get_lists``/``universe``/
-    ``inf_sid``), so the tree join binds against it unchanged; it does not
-    support mutation (``append_set``) or local-index construction — those
-    stay on the Python backend.
+    It shares ``universe``/``inf_sid``/``construction_cost`` with
+    :class:`~repro.index.inverted.InvertedIndex` but not its mapping
+    surface: lists are read through :meth:`get_list` and
+    :meth:`list_length`. It does not support mutation (``append_set``) or
+    local-index construction, and the tree methods never bind it — they
+    probe python lists on every backend.
     """
 
     __slots__ = (
@@ -285,7 +248,6 @@ class HybridInvertedIndex:
         "stride",
         "inf_sid",
         "universe",
-        "lists",
         "_construction_cost",
         "dense_ids",
         "dense_map",
@@ -311,7 +273,6 @@ class HybridInvertedIndex:
         self.inf_sid = inf_sid
         self.stride = max(inf_sid, 1)
         self.universe = universe
-        self.lists = _CSRListMapping(self)
         self._construction_cost = construction_cost
         self.dense_ids = dense_ids
         self.bitmap = bitmap
@@ -489,26 +450,11 @@ class HybridInvertedIndex:
         """Number of elements carrying a bitmap row."""
         return int(self.dense_ids.shape[0])
 
-    def __getitem__(self, element: int) -> Union[np.ndarray, Tuple[int, ...]]:
-        return self.lists.get(element, EMPTY_LIST)  # type: ignore[return-value]
-
-    def __contains__(self, element: int) -> bool:
-        return element in self.lists
-
-    def __len__(self) -> int:
-        """Number of distinct elements indexed (non-empty lists)."""
-        return len(self.lists)
-
     def get_list(self, element: int) -> np.ndarray:
         """Zero-copy numpy view of element's list (empty view if absent)."""
         if 0 <= element < self.num_slots:
             return self.values[self.offsets[element]: self.offsets[element + 1]]
         return self.values[:0]
-
-    def get_lists(self, elements: Sequence[int]) -> List[Any]:
-        """The inverted lists for a record, empty tuples included."""
-        get = self.lists.get
-        return [get(e, EMPTY_LIST) for e in elements]
 
     def list_length(self, element: int) -> int:
         """``|I[e]|`` — 0 for elements not in ``S``."""

@@ -166,7 +166,6 @@ class TestCSRIndexStructure:
         idx = HybridInvertedIndex.build(data)
         assert idx.inf_sid == py.inf_sid
         assert list(idx.universe) == list(py.universe)
-        assert len(idx) == len(py)
         assert idx.size_in_entries() == py.size_in_entries()
         assert idx.construction_cost == py.construction_cost
         for e in range(idx.num_slots + 5):

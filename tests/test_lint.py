@@ -289,6 +289,17 @@ class TestBackendParity:
         )
         assert findings == []
 
+    def test_positional_pass_flagged(self, tmp_path):
+        # Only the keyword form counts as forwarding.
+        findings = _lint_source(
+            tmp_path,
+            """
+            def join(r, s, backend="python"):
+                return inner_join(r, s, backend)
+            """,
+        )
+        assert _codes(findings) == ["RL401"]
+
     def test_private_function_exempt(self, tmp_path):
         findings = _lint_source(
             tmp_path,

@@ -209,8 +209,11 @@ class TestSharedIndexBuildOnce:
         assert modes and set(modes) == {"pickle"}
 
     def test_prebuilt_index_through_api(self):
-        # set_containment_join accepts a prebuilt index= on both backends,
-        # and a python-side index upgrades to the array index.
+        # set_containment_join accepts a prebuilt python index= on both
+        # backends; the flat methods upgrade it to the array index and also
+        # take an array index as-is. The tree methods bind python lists on
+        # every backend, so they refuse an array index: serially, and in
+        # a parallel run before any node starts.
         r, s = random_instance(11)
         expected = sorted(ground_truth(r, s))
         py_index = InvertedIndex.build(s)
@@ -221,14 +224,23 @@ class TestSharedIndexBuildOnce:
             ) == expected
             assert sorted(
                 set_containment_join(
-                    r, s, method=method, index=array_index, backend="hybrid"
-                )
-            ) == expected
-            assert sorted(
-                set_containment_join(
                     r, s, method=method, index=py_index, backend="hybrid"
                 )
             ) == expected
+            if method.startswith("framework"):
+                assert sorted(
+                    set_containment_join(
+                        r, s, method=method, index=array_index, backend="hybrid"
+                    )
+                ) == expected
+                continue
+            for workers in (None, 2):
+                with pytest.raises(InvalidParameterError, match="InvertedIndex"):
+                    set_containment_join(
+                        r, s, method=method, index=array_index,
+                        backend="hybrid", workers=workers,
+                    )
+            assert multiprocessing.active_children() == []
 
 
 class TestWorkerErrors:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import JoinStats
+from repro.core.api import set_containment_join
 from repro.core.order import build_order
 from repro.core.partition import all_partition_join, lcjoin, partition_sizes
 from repro.core.results import PairListSink
@@ -12,6 +13,7 @@ from repro.core.verify import ground_truth
 from repro.data.collection import SetCollection
 from repro.data.synthetic import generate_zipf
 from repro.index.prefix_tree import PrefixTree
+from repro.obs.registry import MetricsRegistry, use_registry
 
 from conftest import ARRAY_LAYOUTS, random_instance
 
@@ -121,12 +123,8 @@ def test_lcjoin_on_skewed_data_matches_naive():
 @pytest.mark.parametrize("backend", ARRAY_LAYOUTS, indirect=True)
 @pytest.mark.parametrize("join", [all_partition_join, lcjoin])
 class TestPartitionBackends:
-    """Partitioned methods accept the array backend.
-
-    The partition logic itself stays on the python index (anchor lists,
-    ``build_local``); only the tree-probing phases repack into the
-    requested array layout.
-    """
+    """Partitioned methods accept the array backend and return the python
+    backend's pairs (they bind python lists on every backend)."""
 
     def test_matches_python_backend(self, join, backend):
         for seed in range(12):
@@ -146,11 +144,36 @@ class TestPartitionBackends:
         assert packed.sorted_pairs() == base.sorted_pairs()
 
     def test_pack_spans_recorded(self, join, backend):
-        from repro.obs.registry import MetricsRegistry, use_registry
-
+        """No ``index.csr_pack`` span: the array backend records exactly the
+        python backend's spans, since no array index is packed."""
         r, s = random_instance(4)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            join(r, s, PairListSink(), backend=backend)
-        names = {node.name for node in registry.span_root.children.values()}
-        assert "index.csr_pack" in names
+        spans = {}
+        for name in ("python", backend):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                join(r, s, PairListSink(), backend=name)
+            spans[name] = {node.name for __, node in registry.span_root.walk()}
+        assert "index.csr_pack" not in spans[backend]
+        assert spans[backend] == spans["python"]
+
+
+@pytest.mark.parametrize("method", ["tree", "tree_et", "all_partition", "lcjoin"])
+def test_tree_methods_bind_python_lists(method):
+    """On ``backend="hybrid"`` a tree method packs no array index and does
+    the python backend's work: same pairs, rounds and binary searches."""
+    data = generate_zipf(
+        cardinality=300, avg_set_size=6, num_elements=60, z=0.8, seed=3
+    )
+    runs = {}
+    for backend in ("python", "hybrid"):
+        registry, stats = MetricsRegistry(), JoinStats()
+        pairs = set_containment_join(
+            data, data, method=method, backend=backend, stats=stats,
+            metrics=registry,
+        )
+        runs[backend] = (sorted(pairs), stats.rounds, stats.binary_searches)
+    names = {node.name for __, node in registry.span_root.walk()}
+    assert "index.csr_pack" not in names
+    assert "index.csr_builds" not in registry.counters
+    assert "index.hybrid_dense_lists" not in registry.counters
+    assert runs["hybrid"] == runs["python"]

@@ -575,22 +575,27 @@ class TestMemoryBudget:
         assert any("memory budget" in note for note in report.degradations)
 
     def test_partitioned_method_priced_by_the_index_it_ships(self):
-        # lcjoin repacks per partition, so it ships the python index on
-        # every backend: one 96 B/entry copy per worker, not a shared
+        # The tree methods bind python lists, so they ship the python index
+        # on every backend: one 96 B/entry copy per worker, not a shared
         # 24 B/entry array index. At this budget the python backend runs
         # one worker; hybrid ships the same index and must get the same cap.
         data = generate_zipf(cardinality=3000, seed=1)
-        runs = {}
-        for backend in ("python", "hybrid"):
-            with pytest.warns(DegradedExecutionWarning, match="capped at 1 worker"):
-                runs[backend] = parallel_join(
-                    data, data, method="lcjoin", workers=2, backend=backend,
-                    memory_budget=6_870_000, return_report=True,
-                )
-        (py_pairs, py_report), (hy_pairs, hy_report) = runs["python"], runs["hybrid"]
-        assert py_report.workers == hy_report.workers == 1
-        assert py_report.degradations == hy_report.degradations
-        assert sorted(hy_pairs) == sorted(py_pairs)
+        for method in ("lcjoin", "tree", "tree_et"):
+            runs = {}
+            for backend in ("python", "hybrid"):
+                with pytest.warns(
+                    DegradedExecutionWarning, match="capped at 1 worker"
+                ):
+                    runs[backend] = parallel_join(
+                        data, data, method=method, workers=2, backend=backend,
+                        memory_budget=6_870_000, return_report=True,
+                    )
+            (py_pairs, py_report), (hy_pairs, hy_report) = (
+                runs["python"], runs["hybrid"]
+            )
+            assert py_report.workers == hy_report.workers == 1, method
+            assert py_report.degradations == hy_report.degradations
+            assert sorted(hy_pairs) == sorted(py_pairs)
 
 
 # -- parameter validation ---------------------------------------------------

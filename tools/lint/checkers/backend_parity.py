@@ -14,8 +14,11 @@ parameter passes if its body shows *evidence of dispatch*, any of:
 * a comparison or membership test against the ``"hybrid"`` /
   ``"python"`` literals or the ``BACKENDS`` registry (``backend ==
   "hybrid"``, ``backend not in BACKENDS``);
-* forwarding — ``backend=backend`` keyword, ``kwargs["backend"] =``
-  subscript store, or passing the name positionally into another call.
+* forwarding — a ``backend=`` keyword argument whose value names
+  ``backend`` (``f(r, backend=backend)``), or a ``kwargs["backend"] =``
+  subscript store. Passing the name positionally (``f(r, backend)``) is
+  not evidence: the callee's parameter at that position cannot be
+  checked, so write the keyword form.
 
 Otherwise the parameter is decoration, and RL401 fires on the ``def``.
 Suppress with ``# lint: backend-agnostic (why)`` for a function whose
