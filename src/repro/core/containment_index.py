@@ -9,7 +9,8 @@ packages that as a library feature — index a collection once, then ask
   (cross-cutting probe of the query's inverted lists, Algorithm 1's inner
   loop); this is the publish/subscribe direction, and
 * :meth:`subsets_of` — which indexed sets **are contained in** the query
-  (a lazily built prefix tree over the indexed sets is walked, descending
+  (:meth:`~repro.index.prefix_tree.PrefixTree.subsets_of` walks a lazily
+  built, frequency-ordered prefix tree over the indexed sets, descending
   only through elements the query has — each indexed subset is reported
   exactly once via its end marker).
 
@@ -145,17 +146,7 @@ class ContainmentIndex:
                 )
         if self._tree is None:
             self._tree = PrefixTree.build(self._collection, self._order)
-        out: List[int] = []
-        stack = [self._tree.root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                if child.terminal_rids is not None:
-                    out.extend(child.terminal_rids)
-                elif all(e in ids for e in child.elements):
-                    stack.append(child)
-        out.sort()
-        return out
+        return self._tree.subsets_of(ids)
 
     def join(self, r_collection: SetCollection, method: str = "lcjoin", **kwargs):
         """All-pair join ``r_collection ⋈⊆ indexed collection``, reusing

@@ -319,11 +319,18 @@ class FaultPlan:
 
     # -- decisions --------------------------------------------------------
 
-    def _fires(self, rule: FaultRule, chunk: int, attempt: int) -> bool:
+    def _fires(self, rule: FaultRule, *point: object) -> bool:
+        """The one probability draw: does ``rule`` fire at ``point``?
+
+        The key is ``seed:point...:action`` joined by colons, hashed with
+        SHA-256; its first 8 bytes as a fraction of 2**64 are compared
+        with ``rule.prob``. Each stage names its point with its own parts,
+        so the key strings of the three stages never collide.
+        """
         if rule.prob >= 1.0:
             return True
-        key = f"{self.seed}:{chunk}:{attempt}:{rule.action}".encode()
-        digest = hashlib.sha256(key).digest()
+        key = ":".join(str(part) for part in (self.seed, *point, rule.action))
+        digest = hashlib.sha256(key.encode()).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2**64
         return fraction < rule.prob
 
@@ -383,16 +390,8 @@ class FaultPlan:
                 continue
             if rule.action == "kill" and rule.arg is not None and incarnation > rule.arg:
                 continue
-            if rule.prob < 1.0:
-                key = (
-                    f"{self.seed}:shard:{shard_id}:{incarnation}:"
-                    f"{chunk}:{rule.action}"
-                ).encode()
-                digest = hashlib.sha256(key).digest()
-                fraction = int.from_bytes(digest[:8], "big") / 2**64
-                if fraction >= rule.prob:
-                    continue
-            return rule
+            if self._fires(rule, "shard", shard_id, incarnation, chunk):
+                return rule
         return None
 
     def rule_for_serve(
@@ -421,13 +420,8 @@ class FaultPlan:
                 and boots > rule.arg
             ):
                 continue
-            if rule.prob < 1.0:
-                key = f"{self.seed}:serve:{seq}:{rule.action}".encode()
-                digest = hashlib.sha256(key).digest()
-                fraction = int.from_bytes(digest[:8], "big") / 2**64
-                if fraction >= rule.prob:
-                    continue
-            return rule
+            if self._fires(rule, "serve", seq):
+                return rule
         return None
 
     def rule_for_checkpoint(self, chunk: int, attempt: int) -> Optional[FaultRule]:

@@ -21,6 +21,14 @@ Two deviations from the paper's idealised picture, both forced by real data:
 Join-time state (``max_sid``, ``next_max``, ``rid_list``, per-list cursors)
 lives on the nodes and is (re)initialised by the join driver, so one tree can
 be reused across runs and across partition-local indexes.
+
+The same trie answers the reverse question, "which stored sets are subsets
+of this one?" (the structure PRETTI and LIMIT build over the subset side):
+:meth:`PrefixTree.subsets_of` is the one subset walk in the package. It
+serves :meth:`~repro.core.containment_index.ContainmentIndex.subsets_of`
+over a frequency-ordered batch tree, and, through
+:class:`IncrementalPrefixTree`, the resident server's subset queries and
+the pubsub broker's matching.
 """
 
 from __future__ import annotations
@@ -245,6 +253,39 @@ class PrefixTree:
         tree.freeze()
         return tree
 
+    # -- subset queries ------------------------------------------------------
+
+    def subsets_of(
+        self,
+        ids: AbstractSet[int],
+        dead: AbstractSet[int] = frozenset(),
+        rid_bound: Optional[int] = None,
+    ) -> List[int]:
+        """Rids of the stored sets that are subsets of ``ids``, ascending.
+
+        The walk descends only through children whose elements all appear
+        in ``ids``, so the cost is proportional to the part of the tree the
+        query covers, not to the number of stored sets. Rids in ``dead``
+        and rids ``>= rid_bound`` are dropped from the answer; the caller
+        must not mutate the tree or ``dead`` while the walk runs.
+        """
+        out: List[int] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            for child in node.children:
+                rids = child.terminal_rids
+                if rids is not None:
+                    out.extend(rids)
+                elif all(e in ids for e in child.elements):
+                    stack.append(child)
+        if rid_bound is not None:
+            out = [r for r in out if r < rid_bound and r not in dead]
+        elif dead:
+            out = [r for r in out if r not in dead]
+        out.sort()
+        return out
+
     # -- introspection -----------------------------------------------------
 
     def iter_nodes(self) -> Iterable[TreeNode]:
@@ -325,28 +366,8 @@ class TrieSnapshot:
         self.live_count = live_count
 
     def subsets_of(self, elements: Iterable[int]) -> List[int]:
-        """Rids of live stored sets that are subsets of ``elements``.
-
-        The walk descends only through children whose elements all appear
-        in the event — the same traversal as ``Broker.publish`` — so the
-        cost is proportional to the part of the tree the event covers, not
-        to the number of stored sets.
-        """
-        ids: Set[int] = set(elements)
-        dead = self.dead
-        bound = self.rid_bound
-        out: List[int] = []
-        stack = [self.tree.root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                rids = child.terminal_rids
-                if rids is not None:
-                    out.extend(r for r in rids if r < bound and r not in dead)
-                elif all(e in ids for e in child.elements):
-                    stack.append(child)
-        out.sort()
-        return out
+        """Rids of the sets live at this epoch that are subsets of ``elements``."""
+        return self.tree.subsets_of(set(elements), self.dead, self.rid_bound)
 
     def __len__(self) -> int:
         return self.live_count
@@ -355,18 +376,19 @@ class TrieSnapshot:
 class IncrementalPrefixTree:
     """A prefix tree with inserts, tombstone deletes and epoch compaction.
 
-    Generalises the pubsub broker's ``compact_ratio`` scheme (the broker
-    keeps its own deferred-drop variant because its matching walk runs
-    inside the writer object itself): inserts go straight into the live
-    tree under a dense, monotone rid discipline; deletes are tombstones;
-    and once tombstones exceed ``compact_ratio`` of the live population the
-    tree is rebuilt without them via :meth:`PrefixTree.compacted` and
-    swapped in under a new epoch. Readers hold :meth:`snapshot` views and
-    are never invalidated by the swap.
+    The one incremental subset trie: the resident server keeps its stored
+    sets in one (rids are index sids) and the pubsub
+    :class:`~repro.pubsub.broker.Broker` its subscriptions in another (rids
+    are subscription ids). Inserts go straight into the live tree under a
+    dense, monotone rid discipline; deletes are tombstones; and once
+    tombstones exceed ``compact_ratio`` of the live population the tree is
+    rebuilt without them via :meth:`PrefixTree.compacted` and swapped in
+    under a new epoch. Readers hold :meth:`snapshot` views and are never
+    invalidated by the swap.
 
     Elements are non-negative ints ordered by an identity
     :class:`~repro.core.order.GlobalOrder` that grows with the universe —
-    frequency tuning is pointless under churn, exactly as in the broker.
+    frequency tuning is pointless under churn.
     """
 
     def __init__(
@@ -418,8 +440,9 @@ class IncrementalPrefixTree:
 
         Rids are assigned densely from 0. Passing ``rid`` explicitly is an
         assert-sync seam for callers that mirror another structure's id
-        space (the serve layer keeps trie rids equal to index sids): it
-        must equal the next dense rid or the call raises.
+        space (the serve layer keeps trie rids equal to index sids, the
+        broker equal to subscription ids): it must equal the next dense
+        rid or the call raises.
         """
         record = sorted({int(e) for e in elements})
         if not record:
@@ -436,8 +459,9 @@ class IncrementalPrefixTree:
                 f"got {rid}"
             )
         self._next_rid = rid + 1
+        # The order is the identity: ascending ids are already tree order.
         self._order.extend_to(record[-1] + 1)
-        self._tree.insert(self._order.sort_record(record), rid)
+        self._tree.insert(record, rid)
         self._members.add(rid)
         return rid
 
@@ -545,5 +569,10 @@ class IncrementalPrefixTree:
         )
 
     def subsets_of(self, elements: Iterable[int]) -> List[int]:
-        """Query the current state through a fresh snapshot."""
-        return self.snapshot().subsets_of(elements)
+        """Live rids whose sets are subsets of ``elements``, ascending.
+
+        Reads the current state in place: unlike :meth:`snapshot` it does
+        not copy the tombstone set, which nothing can mutate during the
+        synchronous walk.
+        """
+        return self._tree.subsets_of(set(elements), self._dead)

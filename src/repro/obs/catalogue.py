@@ -33,7 +33,6 @@ SPAN_CATALOGUE = frozenset(
         "parallel.supervise",  # the coordinator's dispatch/heartbeat/retry loop
         "checkpoint.write",  # one durable chunk spill (temp → fsync → rename)
         "checkpoint.resume",  # scanning/validating spills on a resumed run
-        "pubsub.rebuild",  # broker subscription-tree rebuild (compaction)
         "serve.request",  # one request dispatched by the resident server
         "serve.compact",  # an explicit compact op on the resident structures
         "wal.replay",  # recovery replay of the op-log tail past the snapshot
@@ -120,13 +119,12 @@ COUNTER_CATALOGUE = {
     "pubsub.unsubscribed": "subscriptions cancelled",
     "pubsub.published": "events published",
     "pubsub.delivered": "subscription matches delivered",
-    "pubsub.compactions": "tombstone compactions scheduled",
-    "pubsub.rebuilds": "subscription-tree rebuilds",
+    "pubsub.compactions": "subscription-trie compactions",
     # -- incremental maintenance (resident index/trie) --
     "index.incremental_appends": "records appended to the delta segment",
     "index.incremental_deletes": "records tombstoned in the resident index",
     "index.incremental_compactions": "resident index base rebuilds",
-    "tree.trie_compactions": "resident prefix-trie compactions",
+    "tree.trie_compactions": "incremental prefix-trie compactions (stored sets and subscriptions)",
     # -- serve.*: the resident join service --
     "serve.connections": "client connections accepted",
     "serve.requests": "requests dispatched",

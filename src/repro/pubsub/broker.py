@@ -3,35 +3,37 @@
 The paper's §I second application: "if the keywords subscribed to by a
 user and the words in an article are modeled as the sets, then the set
 containment determines if an article aligns with the user's interests".
-This module is that service, built properly:
+This module is that service:
 
 * a :class:`Broker` holds subscriptions (keyword sets). Publishing an
   event matches it against all *live* subscriptions: a subscription fires
   when **all** of its keywords appear in the event.
-* matching walks the subscriptions' prefix tree, descending only through
-  keywords the event contains — the same structure as
-  :meth:`ContainmentIndex.subsets_of`, specialised with counters and
-  delivery records.
-* subscriptions can be cancelled; cancellations are tombstones, and the
-  tree is compacted automatically once tombstones exceed
-  ``compact_ratio`` of the registry (amortised O(1) per cancel).
+* the subscriptions live in an
+  :class:`~repro.index.prefix_tree.IncrementalPrefixTree` keyed by
+  subscription id, over the dictionary-encoded keywords. Subscribing
+  inserts into it, so its footprint is resident from the first subscribe.
+  Publishing runs the package's one subset walk
+  (:meth:`~repro.index.prefix_tree.PrefixTree.subsets_of`), descending
+  only through keywords the event contains.
+* cancellations are the trie's tombstones; the trie compacts itself once
+  they exceed ``compact_ratio`` of the live subscriptions (amortised O(1)
+  per cancel).
 
 Matching cost is proportional to the part of the subscription tree the
 event's keywords cover, not to the number of subscriptions — which is the
-reason to use a trie-shaped registry at all.
+reason to use a trie-shaped registry at all. A publish calls no user code
+while it walks, so nothing can subscribe or cancel under the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List
 
-from ..core.order import GlobalOrder
 from ..data.collection import ElementDictionary
 from ..errors import InvalidParameterError
-from ..index.prefix_tree import PrefixTree
+from ..index.prefix_tree import IncrementalPrefixTree
 from ..obs import registry as _obs
-from ..obs.spans import trace_span
 
 __all__ = ["Broker", "Subscription", "Delivery"]
 
@@ -63,22 +65,10 @@ class Broker:
     """Subscription registry + matcher."""
 
     def __init__(self, compact_ratio: float = 0.5):
-        if not 0.0 < compact_ratio <= 1.0:
-            raise InvalidParameterError(
-                f"compact_ratio must be in (0, 1], got {compact_ratio}"
-            )
+        self._trie = IncrementalPrefixTree(compact_ratio)
         self._dictionary = ElementDictionary()
         self._subscriptions: Dict[int, Subscription] = {}
         self._next_id = 0
-        self._tree: Optional[PrefixTree] = None
-        self._tree_members: Set[int] = set()
-        self._tombstones = 0
-        self._compact_ratio = compact_ratio
-        self._walking = False
-        self._compact_pending = False
-        # Reentrant subscribes buffered while a publish walks the tree:
-        # ``(encoded keywords, sub_id)``, applied after the walk.
-        self._pending_inserts: List[Tuple[List[int], int]] = []
         self.published = 0
         self.delivered = 0
 
@@ -87,28 +77,14 @@ class Broker:
     def subscribe(self, keywords: Iterable[Hashable]) -> int:
         """Register a subscription; returns its id."""
         sub = Subscription(self._next_id, frozenset(keywords))
+        self._trie.insert(
+            [self._dictionary.encode(k) for k in sub.keywords], rid=sub.sub_id
+        )
         self._subscriptions[sub.sub_id] = sub
         self._next_id += 1
         reg = _obs.ACTIVE
         if reg is not None:
             reg.inc("pubsub.subscribed")
-        encoded = sorted(self._dictionary.encode(k) for k in sub.keywords)
-        if self._tree is not None:
-            if self._walking:
-                # Reentrant subscribe from a delivery handler: the publish
-                # walk is iterating node.children, so inserting now would
-                # mutate those lists under the active traversal (revisiting
-                # or skipping siblings, possibly delivering the new
-                # subscription to the in-flight event). Buffer the insert;
-                # publish applies it once the walk finishes, mirroring
-                # _compact_pending.
-                self._pending_inserts.append((encoded, sub.sub_id))
-            else:
-                # Incremental insert: extend the frozen order for new
-                # keywords, then sort in tree order.
-                self._tree.order.extend_to(len(self._dictionary))
-                self._tree.insert(self._tree.order.sort_record(encoded), sub.sub_id)
-                self._tree_members.add(sub.sub_id)
         return sub.sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
@@ -116,50 +92,17 @@ class Broker:
 
         A clean no-op for ids that were never issued or were already
         cancelled — a second cancel must not double-count a tombstone or
-        trigger a spurious compaction. Safe to call from within a
-        :meth:`publish` delivery (e.g. a handler cancelling itself):
-        compaction triggered mid-walk is deferred until the walk finishes
-        rather than dropping the tree under the traversal.
+        trigger a spurious compaction.
         """
         if self._subscriptions.pop(sub_id, None) is None:
             return
+        epoch = self._trie.epoch
+        self._trie.mark_dead(sub_id)
         reg = _obs.ACTIVE
         if reg is not None:
             reg.inc("pubsub.unsubscribed")
-        if not self._subscriptions:
-            # The registry emptied: without this, a dead trie full of
-            # tombstones (and a stale _tree_members set that would
-            # double-count tombstones for recycled trees) survives into
-            # the next subscribe. Drop everything; mid-walk this defers
-            # like any other compaction.
-            if self._tree is not None:
-                self._schedule_compaction()
-            return
-        if sub_id in self._tree_members:
-            self._tombstones += 1
-            if self._tombstones > self._compact_ratio * max(len(self._subscriptions), 1):
-                self._schedule_compaction()
-
-    def _schedule_compaction(self) -> None:
-        # Dropping the tree (it is rebuilt lazily, without tombstones) is
-        # only safe when no publish is walking it; reentrant cancels mark
-        # it pending instead and publish applies the drop after the walk.
-        if self._walking:
-            self._compact_pending = True
-        else:
-            self._drop_tree()
-            reg = _obs.ACTIVE
-            if reg is not None:
+            if self._trie.epoch != epoch:
                 reg.inc("pubsub.compactions")
-
-    def _drop_tree(self) -> None:
-        # Forget the trie and every piece of its bookkeeping; the next
-        # publish rebuilds lazily from the live registry. Buffered
-        # reentrant inserts are covered by that rebuild too.
-        self._tree = None
-        self._tree_members = set()
-        self._tombstones = 0
-        self._pending_inserts.clear()
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -169,94 +112,37 @@ class Broker:
         """Live subscriptions by id (do not mutate)."""
         return self._subscriptions
 
+    @property
+    def trie(self) -> IncrementalPrefixTree:
+        """The subscription trie (for footprint metering; do not mutate)."""
+        return self._trie
+
     # -- matching --------------------------------------------------------------
 
-    def _build_tree(self) -> PrefixTree:
-        # An identity order over the dictionary's ids; frequency tuning is
-        # pointless here because subscription churn would invalidate it.
-        with trace_span("pubsub.rebuild"):
-            order = GlobalOrder(list(range(len(self._dictionary))), "element_id")
-            tree = PrefixTree(order)
-            for sub in self._subscriptions.values():
-                encoded = sorted(self._dictionary.encode(k) for k in sub.keywords)
-                tree.insert(encoded, sub.sub_id)
-            self._tree_members = set(self._subscriptions)
-            self._tombstones = 0
-        reg = _obs.ACTIVE
-        if reg is not None:
-            reg.inc("pubsub.rebuilds")
-        return tree
-
-    def publish(self, keywords: Iterable[Hashable]) -> Delivery:
-        """Match one event against all live subscriptions."""
-        event = frozenset(keywords)
-        delivery = Delivery(event)
-        self.published += 1
-        reg = _obs.ACTIVE
-        if reg is not None:
-            reg.inc("pubsub.published")
-        if not self._subscriptions:
-            # Publishing into an empty registry must also shed a stale
-            # trie (every id in it is a tombstone by now) — see
-            # unsubscribe; _schedule_compaction defers when reentrant.
-            if self._tree is not None:
-                self._schedule_compaction()
-            return delivery
-        if self._tree is None:
-            self._tree = self._build_tree()
-        ids: Set[int] = set()
+    def _match(self, event: frozenset) -> List[int]:
+        # A keyword never subscribed to has no id and cannot match.
+        ids = set()
         for keyword in event:
             eid = self._dictionary.encode_existing(keyword)
             if eid is not None:
                 ids.add(eid)
-        matched = delivery.matched
-        self._walking = True
-        try:
-            stack = [self._tree.root]
-            while stack:
-                node = stack.pop()
-                for child in node.children:
-                    if child.terminal_rids is not None:
-                        # Tombstoned ids stay in the tree until compaction;
-                        # filter on delivery.
-                        matched.extend(
-                            sid for sid in child.terminal_rids
-                            if self._is_live(sid)
-                        )
-                    elif all(e in ids for e in child.elements):
-                        stack.append(child)
-        finally:
-            self._walking = False
-            if self._compact_pending:
-                self._compact_pending = False
-                self._drop_tree()
-                reg = _obs.ACTIVE
-                if reg is not None:
-                    reg.inc("pubsub.compactions")
-            elif self._pending_inserts:
-                self._apply_pending_inserts()
-        matched.sort()
-        self.delivered += len(matched)
+        return self._trie.subsets_of(ids)
+
+    def publish(self, keywords: Iterable[Hashable]) -> Delivery:
+        """Match one event against all live subscriptions."""
+        event = frozenset(keywords)
+        delivery = Delivery(event, self._match(event))
+        self.published += 1
+        self.delivered += len(delivery)
         reg = _obs.ACTIVE
         if reg is not None:
-            reg.inc("pubsub.delivered", len(matched))
+            reg.inc("pubsub.published")
+            reg.inc("pubsub.delivered", len(delivery))
         return delivery
 
-    def _apply_pending_inserts(self) -> None:
-        # Splice in subscribes buffered during the walk, now that the tree
-        # survived it. Ids unsubscribed again before the walk ended are
-        # skipped: they never reached _tree_members, so their cancel
-        # counted no tombstone and the lazy rebuild owes them nothing.
-        tree = self._tree
-        if tree is None:
-            self._pending_inserts.clear()
-            return
-        tree.order.extend_to(len(self._dictionary))
-        for encoded, sub_id in self._pending_inserts:
-            if sub_id in self._subscriptions:
-                tree.insert(tree.order.sort_record(encoded), sub_id)
-                self._tree_members.add(sub_id)
-        self._pending_inserts.clear()
+    def matches(self, keywords: Iterable[Hashable]) -> List[int]:
+        """The ids :meth:`publish` would deliver, without counting a publish."""
+        return self._match(frozenset(keywords))
 
     # -- serialization -------------------------------------------------------
 
@@ -265,101 +151,61 @@ class Broker:
 
         ``keywords`` lists the dictionary's vocabulary in id order, so the
         restored broker assigns the same encoded id to every keyword
-        regardless of hash-iteration order in the restoring process. The
-        lazily built subscription tree (when present) is serialized as its
-        encoded path set — cancelled members' paths included, because they
-        stay in the tree until compaction and count toward the footprint.
+        regardless of hash-iteration order in the restoring process.
+        ``trie`` is the subscription trie's own payload, cancelled paths
+        included, so the restored footprint is exact; the live
+        subscriptions are its paths whose ids are not dead.
         """
-        tree: Optional[Dict[str, object]] = None
-        if self._tree is not None:
-            tree = {
-                "paths": [
-                    [list(prefix), list(rids)]
-                    for prefix, rids in self._tree.live_paths(frozenset())
-                ],
-                "members": sorted(self._tree_members),
-                "tombstones": self._tombstones,
-            }
-        subscriptions = []
-        for sub in self._subscriptions.values():
-            encoded = sorted(self._dictionary.encode(k) for k in sub.keywords)
-            subscriptions.append(
-                [sub.sub_id, [self._dictionary.decode(e) for e in encoded]]
-            )
         return {
             "keywords": [
                 self._dictionary.decode(eid)
                 for eid in range(len(self._dictionary))
             ],
-            "subscriptions": subscriptions,
             "next_id": self._next_id,
             "published": self.published,
             "delivered": self.delivered,
-            "tree": tree,
+            "trie": self._trie.dump_state(),
         }
 
     @classmethod
     def restore_state(
         cls, payload: Dict[str, object], *, compact_ratio: float = 0.5
     ) -> "Broker":
-        """Rebuild the exact broker a :meth:`dump_state` payload captured."""
+        """Rebuild the exact broker a :meth:`dump_state` payload captured.
+
+        A payload written before the broker kept its trie eagerly has
+        ``subscriptions`` and a ``tree`` entry instead of ``trie``: a
+        lazily built cache of the live subscriptions, or ``None``. The
+        trie is then rebuilt from those subscriptions.
+        """
         broker = cls(compact_ratio)
+        decode = broker._dictionary.decode
         for keyword in payload["keywords"]:  # type: ignore[union-attr]
             broker._dictionary.encode(keyword)
-        for sub_id, keywords in payload["subscriptions"]:  # type: ignore[union-attr]
-            broker._subscriptions[int(sub_id)] = Subscription(
-                int(sub_id), frozenset(keywords)
-            )
         broker._next_id = int(payload["next_id"])  # type: ignore[arg-type]
         broker.published = int(payload["published"])  # type: ignore[arg-type]
         broker.delivered = int(payload["delivered"])  # type: ignore[arg-type]
-        dumped_tree = payload["tree"]
-        if dumped_tree is not None:
-            order = GlobalOrder(list(range(len(broker._dictionary))), "element_id")
-            tree = PrefixTree(order)
-            for prefix, rids in dumped_tree["paths"]:  # type: ignore[index]
-                elements = tuple(int(e) for e in prefix)
-                for rid in rids:
-                    tree.insert(elements, int(rid))
-            broker._tree = tree
-            broker._tree_members = {
-                int(rid) for rid in dumped_tree["members"]  # type: ignore[index]
+        trie = payload.get("trie")
+        if trie is None:
+            paths = []
+            for sub_id, keywords in payload["subscriptions"]:  # type: ignore[union-attr]
+                encoded = sorted(broker._dictionary.encode(k) for k in keywords)
+                paths.append([encoded, [sub_id]])
+            trie = {
+                "epoch": 0, "next_rid": broker._next_id, "dead": [], "paths": paths,
             }
-            broker._tombstones = int(dumped_tree["tombstones"])  # type: ignore[index]
+        dead = set(trie["dead"])  # type: ignore[index]
+        live = {
+            int(rid): [decode(int(e)) for e in prefix]
+            for prefix, rids in trie["paths"]  # type: ignore[index]
+            for rid in rids
+            if rid not in dead
+        }
+        for sub_id in sorted(live):
+            broker._subscriptions[sub_id] = Subscription(
+                sub_id, frozenset(live[sub_id])
+            )
+        broker._trie = IncrementalPrefixTree.restore_state(
+            trie, compact_ratio=compact_ratio  # type: ignore[arg-type]
+        )
         return broker
-
-    def _is_live(self, sub_id: int) -> bool:
-        # The seam the matching walk filters tombstones through; kept as a
-        # method so delivery-time cancellation (tests included) has a
-        # defined interception point.
-        return sub_id in self._subscriptions
-
-    def matches(self, keywords: Iterable[Hashable]) -> List[int]:
-        """Like :meth:`publish` but without touching the counters.
-
-        Both counter systems are restored: the instance tallies
-        (``published``/``delivered``) and the registry's
-        ``pubsub.published``/``pubsub.delivered`` — restore-or-delete, so
-        a probe on a fresh registry leaves no zero-valued entries behind.
-        A lazy rebuild or compaction triggered by the walk still counts:
-        those record real state changes, not traffic.
-        """
-        saved_published, saved_delivered = self.published, self.delivered
-        reg = _obs.ACTIVE
-        saved_counts: Dict[str, Optional[float]] = {}
-        if reg is not None:
-            saved_counts = {
-                name: reg.counters.get(name)
-                for name in ("pubsub.published", "pubsub.delivered")
-            }
-        try:
-            delivery = self.publish(keywords)
-        finally:
-            self.published, self.delivered = saved_published, saved_delivered
-            if reg is not None:
-                for name, value in saved_counts.items():
-                    if value is None:
-                        reg.counters.pop(name, None)
-                    else:
-                        reg.counters[name] = value
-        return delivery.matched

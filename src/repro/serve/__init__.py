@@ -4,8 +4,9 @@ A long-lived, single-threaded server that keeps the hot containment
 structures loaded — an :class:`~repro.index.storage.IncrementalIndex`
 (frozen array base + delta + tombstones) for superset point queries, an
 :class:`~repro.index.prefix_tree.IncrementalPrefixTree` for subset
-queries, and the pubsub :class:`~repro.pubsub.broker.Broker` — and
-answers requests over a line-delimited JSON socket protocol with request
+queries, and the pubsub :class:`~repro.pubsub.broker.Broker`, whose
+subscriptions sit in a second ``IncrementalPrefixTree`` — and answers
+requests over a line-delimited JSON socket protocol with request
 batching, per-request deadlines and memory-budget admission control.
 
 With ``--data-dir`` the state becomes durable: every acknowledged write

@@ -11,13 +11,17 @@ One :class:`ServeState` owns three structures kept in lockstep:
   sids, asserted on every append);
 * the pubsub :class:`~repro.pubsub.broker.Broker` for keyword
   subscriptions, which have their own id space and their own dictionary
-  (keywords are arbitrary JSON scalars, not element ids).
+  (keywords are arbitrary JSON scalars, not element ids). The broker
+  keeps its subscriptions in a second ``IncrementalPrefixTree``, so
+  subset queries and publishes run the same trie class and walk.
 
 Admission control follows the parallel driver's analytic convention
 (:func:`repro.memory.meter.collection_footprint`): entry counts times
 per-entry byte constants, compared against the ``--memory-budget``. A
 write that would land past the budget is refused with
-``admission_rejected`` before it mutates anything.
+``admission_rejected`` before it mutates anything. Both tries are built
+as writes arrive, so a read never grows the footprint past what
+admission saw.
 """
 
 from __future__ import annotations
@@ -187,13 +191,10 @@ class ServeState:
 
     def resident_bytes(self) -> int:
         """Analytic resident footprint of all three structures."""
-        broker_nodes = (
-            self.broker._tree.num_nodes if self.broker._tree is not None else 0
-        )
         return (
             self.index.nbytes()
             + self.trie.tree.num_nodes * _TRIE_NODE_BYTES
-            + broker_nodes * _TRIE_NODE_BYTES
+            + self.broker.trie.tree.num_nodes * _TRIE_NODE_BYTES
             + len(self.broker) * _SUBSCRIPTION_BYTES
         )
 

@@ -66,7 +66,7 @@ class TestPublish:
 
 class TestUnsubscribe:
     def test_cancelled_subscription_stops_matching(self, broker):
-        broker.publish({"sports"})  # force tree build
+        assert broker.publish({"sports"}).matched == [2]
         broker.unsubscribe(2)
         assert broker.publish({"sports"}).matched == []
         assert len(broker) == 3
@@ -80,10 +80,10 @@ class TestUnsubscribe:
     def test_compaction_preserves_results(self):
         b = Broker(compact_ratio=0.25)
         ids = [b.subscribe({f"k{i}"}) for i in range(20)]
-        b.publish({"k0"})  # build the tree
         for sub_id in ids[:15]:
             b.unsubscribe(sub_id)
-        # After heavy cancellation the tree was compacted; the rest match.
+        # After heavy cancellation the trie was compacted; the rest match.
+        assert b.trie.epoch >= 1
         for i in range(15, 20):
             assert b.publish({f"k{i}"}).matched == [ids[i]]
 
@@ -92,64 +92,30 @@ class TestUnsubscribe:
             Broker(compact_ratio=0.0)
 
     def test_double_cancel_counts_one_tombstone(self, broker):
-        broker.publish({"sports"})  # force tree build
         broker.unsubscribe(2)
-        tombstones = broker._tombstones
+        tombstones = broker.trie.dead_count
         broker.unsubscribe(2)
         broker.unsubscribe(2)
-        assert broker._tombstones == tombstones
+        assert broker.trie.dead_count == tombstones == 1
 
     def test_never_issued_id_is_clean_noop(self, broker):
-        broker.publish({"sports"})
-        tombstones = broker._tombstones
+        tombstones = broker.trie.dead_count
         broker.unsubscribe(10_000)
         broker.unsubscribe(-1)
-        assert broker._tombstones == tombstones
+        assert broker.trie.dead_count == tombstones
         assert len(broker) == 4
 
     def test_double_cancel_does_not_force_spurious_compaction(self):
         # One real cancel, then the same id cancelled repeatedly: if every
-        # repeat counted a tombstone, the ratio check would drop the tree.
+        # repeat counted a tombstone, the ratio check would compact.
         b = Broker(compact_ratio=0.5)
         ids = [b.subscribe({f"k{i}"}) for i in range(4)]
-        b.publish({"k0"})
-        tree = b._tree
+        tree = b.trie.tree
         b.unsubscribe(ids[0])
         for __ in range(10):
             b.unsubscribe(ids[0])
-        assert b._tree is tree, "repeat cancels compacted the live tree"
-
-    def test_cancel_during_publish_defers_compaction(self, monkeypatch):
-        # A delivery handler cancelling subscriptions mid-walk may push
-        # tombstones over the compaction threshold; the tree must not be
-        # dropped under the traversal, only after the walk completes.
-        b = Broker(compact_ratio=0.1)
-        ids = [b.subscribe({"common", f"k{i}"}) for i in range(10)]
-        b.publish({"common", "k0"})  # build the tree
-        tree = b._tree
-        real_is_live = Broker._is_live
-        cancelled = []
-
-        def cancelling_is_live(self, sub_id):
-            if not cancelled:
-                # First delivery check: rip out most of the registry,
-                # reentrantly, exactly as a self-cancelling handler would.
-                for victim in ids[1:]:
-                    self.unsubscribe(victim)
-                    cancelled.append(victim)
-                assert self._tree is tree, "tree dropped mid-walk"
-            return real_is_live(self, sub_id)
-
-        monkeypatch.setattr(Broker, "_is_live", cancelling_is_live)
-        delivery = b.publish({"common"} | {f"k{i}" for i in range(10)})
-        assert cancelled, "reentrant cancellation never triggered"
-        # Matches reflect liveness at delivery time; the walk survived.
-        assert set(delivery.matched) <= set(ids)
-        # The deferred compaction landed once the walk finished.
-        assert b._tree is None
-        # And the broker still works after the rebuild.
-        monkeypatch.setattr(Broker, "_is_live", real_is_live)
-        assert b.publish({"common", "k0"}).matched == [ids[0]]
+        assert b.trie.tree is tree, "repeat cancels compacted the live tree"
+        assert b.trie.epoch == 0
 
 
 class TestIncrementalConsistency:
@@ -163,61 +129,6 @@ class TestIncrementalConsistency:
         broker.publish({"sports"})
         broker.subscribe({"astronomy"})
         assert broker.publish({"astronomy"}).matched == [4]
-
-    def test_reentrant_subscribe_during_publish_is_buffered(self, monkeypatch):
-        # A delivery handler subscribing mid-walk must not mutate
-        # node.children under the traversal: the insert is buffered and
-        # applied after the walk, so the new subscription is not matched
-        # by the in-flight event but is by the next one.
-        b = Broker()
-        first = b.subscribe({"common"})
-        b.publish({"common"})  # build the tree
-        tree = b._tree
-        real_is_live = Broker._is_live
-        added = []
-
-        def subscribing_is_live(self, sub_id):
-            if not added:
-                added.append(self.subscribe({"common"}))
-                assert self._tree is tree, "tree swapped mid-walk"
-                assert added[0] not in self._tree_members, (
-                    "reentrant subscribe mutated the tree under the walk"
-                )
-            return real_is_live(self, sub_id)
-
-        monkeypatch.setattr(Broker, "_is_live", subscribing_is_live)
-        delivery = b.publish({"common"})
-        monkeypatch.setattr(Broker, "_is_live", real_is_live)
-        assert added, "reentrant subscribe never triggered"
-        # The in-flight event does not see the buffered subscription.
-        assert delivery.matched == [first]
-        # The next publish does — applied exactly once, no duplicates.
-        follow_up = b.publish({"common"})
-        assert follow_up.matched == [first, added[0]]
-
-    def test_reentrant_subscribe_then_unsubscribe_mid_walk(self, monkeypatch):
-        # A buffered insert whose id is unsubscribed before the walk ends
-        # must be skipped entirely (it never reached the tree, so no
-        # tombstone may be counted for it either).
-        b = Broker()
-        first = b.subscribe({"common"})
-        b.publish({"common"})
-        real_is_live = Broker._is_live
-        fired = []
-
-        def churn_is_live(self, sub_id):
-            if not fired:
-                doomed = self.subscribe({"common"})
-                self.unsubscribe(doomed)
-                fired.append(doomed)
-            return real_is_live(self, sub_id)
-
-        monkeypatch.setattr(Broker, "_is_live", churn_is_live)
-        b.publish({"common"})
-        monkeypatch.setattr(Broker, "_is_live", real_is_live)
-        assert fired
-        assert b._tombstones == 0
-        assert b.publish({"common"}).matched == [first]
 
     def test_randomized_against_bruteforce(self):
         rng = random.Random(7)
@@ -243,16 +154,15 @@ class TestIncrementalConsistency:
 
 class TestEmptyRegistryReset:
     def test_last_unsubscribe_drops_tree(self, broker):
-        # Draining the registry entirely must drop the stale trie, not
-        # leave it holding tombstoned paths for ids that may be reused
-        # conceptually by later subscriptions.
-        broker.publish({"sports"})  # build the tree
+        # Draining the registry entirely must compact the trie down to its
+        # root, not leave it holding tombstoned paths.
+        broker.publish({"sports"})
         for sub_id in range(4):
             broker.unsubscribe(sub_id)
         assert len(broker) == 0
-        assert broker._tree is None
-        assert broker._tombstones == 0
-        assert broker._tree_members == set()
+        assert broker.trie.tree.num_nodes == 1
+        assert broker.trie.dead_count == 0
+        assert len(broker.trie) == 0
 
     def test_resubscribe_after_drain_matches(self, broker):
         broker.publish({"sports"})
@@ -270,7 +180,7 @@ class TestEmptyRegistryReset:
         for sub_id in range(4):
             broker.unsubscribe(sub_id)
         assert broker.publish({"sports"}).matched == []
-        assert broker._tree is None
+        assert broker.trie.tree.num_nodes == 1
 
 
 class TestMatchesCounterIsolation:
@@ -297,9 +207,8 @@ class TestMatchesCounterIsolation:
             assert reg.counters["pubsub.delivered"] == delivered
 
     def test_matches_rebuild_counters_still_count(self):
-        # matches() may legitimately trigger a tree build — that is a
-        # real state change and stays visible; only the publish/delivery
-        # tallies are shielded.
+        # matches() reads the trie built at subscribe time: it rebuilds
+        # nothing, and the publish/delivery tallies are shielded.
         from repro.obs import MetricsRegistry
         from repro.obs.registry import use_registry
 
@@ -307,5 +216,5 @@ class TestMatchesCounterIsolation:
         b.subscribe({"a"})
         with use_registry(MetricsRegistry()) as reg:
             assert b.matches({"a"}) == [0]
-            assert reg.counters.get("pubsub.rebuilds", 0) >= 1
+            assert "pubsub.rebuilds" not in reg.counters
             assert "pubsub.published" not in reg.counters

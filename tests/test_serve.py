@@ -22,7 +22,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.registry import use_registry
 from repro.serve import JoinServer, ServeClient
 from repro.serve import protocol
-from repro.serve.state import LatencyRecorder, ServeState
+from repro.serve.state import _SUBSCRIPTION_BYTES, LatencyRecorder, ServeState
 
 
 class TestProtocol:
@@ -139,6 +139,31 @@ class TestServeState:
         assert state.handle(
             "query", {"record": [1], "direction": "super"}, None
         )["matches"] == []
+
+    def test_publish_leaves_resident_bytes_unchanged(self):
+        # The subscription trie is built by the subscribes, so the first
+        # publish adds nothing to the footprint admission control saw.
+        state = ServeState()
+        for i in range(200):
+            keywords = [f"k{i}", f"k{i + 1}", f"k{i + 2}"]
+            state.handle("subscribe", {"keywords": keywords}, None)
+        before = state.resident_bytes()
+        state.handle("publish", {"keywords": ["k0", "k1", "k2"]}, None)
+        assert state.resident_bytes() == before
+
+    def test_subscribe_refused_once_trie_nodes_cross_budget(self):
+        # The budget holds twenty registry entries; the trie nodes of each
+        # disjoint three-keyword subscription cross it after four.
+        budget = ServeState().resident_bytes() + 20 * _SUBSCRIPTION_BYTES
+        state = ServeState(memory_budget=budget)
+        admitted = 0
+        with pytest.raises(AdmissionRejectedError):
+            for i in range(20):
+                keywords = [3 * i, 3 * i + 1, 3 * i + 2]
+                state.handle("subscribe", {"keywords": keywords}, None)
+                admitted += 1
+        assert admitted == 4
+        assert state.resident_bytes() >= budget
 
     def test_admission_counter(self):
         state = ServeState(memory_budget=1)

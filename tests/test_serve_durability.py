@@ -211,6 +211,54 @@ class TestRecovery:
         assert _observe(recovered) == before
         recovered.shutdown_flush()
 
+    @pytest.mark.parametrize("legacy_tree", ["object", "null"])
+    def test_snapshot_with_legacy_broker_tree_recovers(self, tmp_path, legacy_tree):
+        # Older servers stored the broker's lazily built subscription tree
+        # under ``tree`` (``null`` until a publish built it) instead of the
+        # trie payload. That tree only cached the live subscriptions, so
+        # recovery rebuilds the trie from them; the tail past the snapshot
+        # then replays a publish (its recorded match list is verified) and
+        # a subscribe (its id must follow the snapshot's ``next_id``).
+        script = [
+            ("subscribe", {"keywords": [5, 6]}),
+            ("subscribe", {"keywords": [6, 7]}),
+            ("unsubscribe", {"sub_id": 0}),
+            ("subscribe", {"keywords": [5, 7, 8]}),
+            ("publish", {"keywords": [5, 6, 7, 8]}),
+            ("subscribe", {"keywords": [5]}),
+        ]
+        events = [[5, 6, 7], [5, 7, 8], [6, 7], [5, 6, 7, 8, 9], [9]]
+        d = str(tmp_path / "data")
+        state = DurableServeState(data_dir=d, snapshot_every=4)
+        _apply_script(state, script)
+        before = _observe(state)
+        answers = [state.broker.matches(e) for e in events]
+        snapshot = state.wal.load_snapshot()
+        assert snapshot["seq"] == 4
+        broker = snapshot["broker"]
+        assert broker.pop("trie")["dead"] == []  # the cancel compacted it
+        broker["subscriptions"] = [[1, [6, 7]], [2, [5, 7, 8]]]
+        broker["tree"] = None
+        if legacy_tree == "object":
+            broker["tree"] = {
+                "paths": [[[1, 2], [1]], [[0, 2, 3], [2]]],
+                "members": [1, 2],
+                "tombstones": 0,
+            }
+        state.wal.write_snapshot(snapshot)
+        state.wal.close()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fallback to full replay
+            recovered = DurableServeState(data_dir=d)
+        assert recovered._snapshot_seq == 4
+        assert _observe(recovered) == before
+        assert [recovered.broker.matches(e) for e in events] == answers
+        assert recovered.handle("subscribe", {"keywords": [9]}, None) == {
+            "sub_id": 4
+        }
+        recovered.shutdown_flush()
+
     def test_torn_tail_truncated_at_every_byte_offset(self, tmp_path):
         # Build a clean log, then re-recover from a copy truncated at
         # EVERY byte offset of the final record: each one must recover

@@ -161,6 +161,28 @@ class TestFaultPlanDecisions:
         decisions_b = [b.rule_for(c, 1, ("crash",)) is not None for c in range(64)]
         assert decisions_a != decisions_b
 
+    def test_probability_draw_is_pinned_per_stage(self):
+        # The firing sets of seed 0 at @0.5, recorded before the three
+        # stages shared one draw: every existing plan must keep firing the
+        # same faults, so each stage keeps its exact hash key.
+        task = FaultPlan.parse("*:*:crash@0.5", seed=0)
+        assert [
+            (c, a) for c in range(6) for a in (1, 2, 3)
+            if task.rule_for(c, a, ("crash",)) is not None
+        ] == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 3), (2, 2), (3, 2),
+              (4, 2), (4, 3), (5, 2)]
+        shard = FaultPlan.parse("shard:*:kill@0.5", seed=0)
+        assert [
+            (s, i, c) for s in range(3) for i in (1, 2) for c in range(3)
+            if shard.rule_for_shard(s, i, c) is not None
+        ] == [(0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 2, 0), (1, 1, 0),
+              (1, 2, 0), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2)]
+        serve = FaultPlan.parse("serve:kill@0.5", seed=0)
+        assert [
+            q for q in range(1, 17)
+            if serve.rule_for_serve(q, ("kill",)) is not None
+        ] == [4, 6, 9, 14, 15]
+
     def test_rule_for_filters_by_action(self):
         plan = FaultPlan.parse("0:1:driverkill")
         assert plan.rule_for(0, 1, ("crash", "hang", "raise")) is None
