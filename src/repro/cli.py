@@ -66,18 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write result pairs here instead of stdout")
     p_join.add_argument("--workers", type=int, default=None,
                         help="run the supervised parallel driver with this "
-                        "many worker processes")
-    p_join.add_argument("--shards", type=int, default=None,
-                        help="run the sharded scale-out coordinator with "
-                        "this many independent nodes (each builds its own "
-                        "index; heartbeats, straggler speculation, "
-                        "whole-shard crash recovery); overrides --workers")
+                        "many worker nodes (heartbeats, straggler "
+                        "speculation, node crash recovery)")
     p_join.add_argument("--retries", type=int, default=2,
                         help="re-dispatches per failed chunk (parallel only)")
     p_join.add_argument("--task-timeout", type=float, default=None,
                         help="per-attempt deadline in seconds; a hung "
-                        "attempt's worker or shard node is killed and the "
-                        "chunk retried (--workers and --shards)")
+                        "attempt's worker node is killed and the chunk "
+                        "retried (parallel only)")
     p_join.add_argument("--backoff", type=float, default=0.05,
                         help="base retry delay in seconds, doubled per "
                         "attempt (parallel only)")
@@ -232,7 +228,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         from .obs import MetricsRegistry
 
         registry = MetricsRegistry()
-    if args.workers is None and args.shards is None:
+    if args.workers is None:
         durable_flags = [
             name for name, value in (
                 ("--checkpoint", args.checkpoint),
@@ -244,9 +240,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
         if durable_flags:
             raise InvalidParameterError(
                 f"{', '.join(durable_flags)} only apply to the parallel "
-                "driver; pass --workers or --shards as well"
+                "driver; pass --workers as well"
             )
-    if args.workers is not None or args.shards is not None:
+    if args.workers is not None:
         from contextlib import nullcontext
 
         from .core.parallel import parallel_join
@@ -258,8 +254,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         with scope, trace_span("join.run"):
             pairs, report = parallel_join(
                 r_collection, s_collection, method=args.method,
-                workers=args.workers, shards=args.shards,
-                backend=args.backend, retries=args.retries,
+                workers=args.workers, backend=args.backend, retries=args.retries,
                 task_timeout=args.task_timeout, backoff=args.backoff,
                 fallback=not args.no_fallback, return_report=True,
                 checkpoint_dir=args.checkpoint, resume=args.resume,

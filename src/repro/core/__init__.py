@@ -27,7 +27,7 @@ from .results import (
     PairListSink,
     make_sink,
 )
-from .supervisor import Coordinator, ShardPolicy
+from .supervisor import Coordinator
 from .stats import JoinStats
 from .tree_join import tree_join
 from .verify import check_join_result, ground_truth
@@ -44,7 +44,6 @@ __all__ = [
     "parallel_join",
     "split_collection",
     "Coordinator",
-    "ShardPolicy",
     "JoinReport",
     "ChunkReport",
     "AttemptRecord",

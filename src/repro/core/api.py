@@ -96,7 +96,6 @@ def set_containment_join(
     stats: Optional[JoinStats] = None,
     backend: str = "python",
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     retries: Optional[int] = None,
     task_timeout: Optional[float] = None,
     backoff: Optional[float] = None,
@@ -143,23 +142,16 @@ def set_containment_join(
     workers:
         When set, the join runs through the supervised multiprocess driver
         (:func:`repro.core.parallel.parallel_join`) with that many worker
-        processes; ``retries``, ``task_timeout`` and ``backoff`` then tune
-        its failure policy (per-chunk re-dispatch count, hang deadline in
-        seconds, and base retry delay), ``checkpoint_dir``/``resume`` arm
+        nodes, supervised for deaths, hangs and stragglers; ``retries``,
+        ``task_timeout`` and ``backoff`` then tune its failure policy
+        (per-chunk re-dispatch count, hang deadline in seconds, and base
+        retry delay), ``checkpoint_dir``/``resume`` arm
         the durable run log (spill settled chunks, resume after a driver
         crash), and ``deadline``/``memory_budget`` bound the run's wall
         clock and memory plan — see :func:`~repro.core.parallel
         .parallel_join` for the full durability contract. Supplying any of
-        these without ``workers`` (or ``shards``) is an error — they have
-        no serial meaning.
-    shards:
-        When set, the same coordinator
-        (:class:`~repro.core.supervisor.Coordinator`) runs that many
-        *sharded* nodes instead of workers: each builds its own index
-        copy, stragglers get speculative duplicates, and nodes that die on
-        their own are respawned within a restart budget. The supervision
-        knobs (``task_timeout`` included) and the durability knobs above
-        apply unchanged; ``workers`` is ignored when both are set.
+        these without ``workers`` is an error — they have no serial
+        meaning.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` installed
         for the duration of this call: phase spans (``join.run``,
@@ -185,7 +177,7 @@ def set_containment_join(
             return set_containment_join(
                 r_collection, s_collection, method=method, collect=collect,
                 callback=callback, stats=stats, backend=backend,
-                workers=workers, shards=shards, retries=retries,
+                workers=workers, retries=retries,
                 task_timeout=task_timeout,
                 backoff=backoff, checkpoint_dir=checkpoint_dir,
                 resume=resume, deadline=deadline,
@@ -204,12 +196,12 @@ def set_containment_join(
         "resume": resume if resume else None,
     }
     sink = make_sink(collect, callback)
-    if workers is None and shards is None:
+    if workers is None:
         set_knobs = [name for name, value in supervision.items() if value is not None]
         if set_knobs:
             raise InvalidParameterError(
                 f"{', '.join(set_knobs)} only apply to parallel joins; "
-                "pass workers= or shards= as well"
+                "pass workers= as well"
             )
         elapsed = join_into(
             r_collection, s_collection, sink, method=method, stats=stats,
@@ -227,7 +219,7 @@ def set_containment_join(
         with trace_span("join.run"):
             pairs, report = parallel_join(
                 r_collection, s_collection, method=method, workers=workers,
-                shards=shards, backend=backend, return_report=True,
+                backend=backend, return_report=True,
                 **knobs, **kwargs,
             )
         if collect == "callback":

@@ -32,7 +32,7 @@ chunks, so one giant partition (about half of ``R`` on skewed data)
 cannot leave one chunk with all the work. Every other method defaults to
 ``strategy="round_robin"``: record ``i`` goes to chunk ``i % chunks``,
 which stays balanced on size-sorted inputs where contiguous equal-size
-chunks (``strategy="contiguous"``) would give one worker all the big sets.
+runs would give one worker all the big sets.
 
 Each chunk's pairs come back as two int64 columns (global rids, sids)
 plus the settling attempt's :class:`~repro.core.stats.JoinStats`. The
@@ -41,14 +41,15 @@ pairs takes a hundred times longer, and the parent builds the final list
 once, in chunk-id order, with one ``zip`` over ``tolist()`` columns.
 
 Since the chunks are independently re-executable, failures are
-recoverable: dispatch runs through :class:`~repro.core.supervisor
-.Coordinator` in both ``workers=`` and ``shards=`` mode. Its long-lived
-nodes receive S, the index, the order and the chunk list once, when
-they are forked, and then one small job message per attempt. It detects
-crashed, hung and wedged nodes, retries chunks with capped exponential
-backoff (``retries=``, ``task_timeout=``, ``backoff=``), and — after
-exhausting retries — falls back to in-process execution on the python
-backend. ``return_report=True`` returns the structured
+recoverable: every multi-process run goes through one
+:class:`~repro.core.supervisor.Coordinator`. Its long-lived nodes
+receive S, the index, the order and the chunk list once, when they are
+forked, and then one small job message per attempt. It detects crashed,
+hung and wedged nodes, duplicates stragglers, respawns dead nodes within
+a restart budget, retries chunks with capped exponential backoff
+(``retries=``, ``task_timeout=``, ``backoff=``), and — after exhausting
+retries — falls back to in-process execution on the python backend.
+``return_report=True`` returns the structured
 :class:`~repro.core.results.JoinReport` of all that alongside the pairs;
 see the "Failure model" section of ``docs/internals.md``.
 """
@@ -96,7 +97,7 @@ from .runlog import (
     signal_cancellation,
 )
 from .stats import JoinStats
-from .supervisor import Coordinator, ShardPolicy, check_abort, start_report
+from .supervisor import Coordinator, check_abort, start_report
 from .tree_join import check_tree_args
 
 __all__ = [
@@ -126,19 +127,17 @@ class ChunkResult(NamedTuple):
 def split_collection(
     collection: SetCollection,
     chunks: int,
-    strategy: str = "contiguous",
+    strategy: str,
     order: Optional[GlobalOrder] = None,
-) -> List[Tuple[Union[int, List[int]], SetCollection]]:
-    """Split into up to ``chunks`` pieces together with their rid mapping.
+) -> List[Tuple[List[int], SetCollection]]:
+    """Split into up to ``chunks`` pieces, each with its global-rid list.
 
-    ``strategy="contiguous"`` yields equal-size runs and an ``int`` rid
-    offset per piece. ``strategy="round_robin"`` deals record ``i`` to
-    piece ``i % chunks`` and yields the explicit global-rid list per piece;
+    ``strategy="round_robin"`` deals record ``i`` to piece ``i % chunks``;
     it balances per-chunk work when record sizes are sorted (e.g. after a
     frequency reorder), where contiguous runs would put all the large sets
     in one chunk. ``strategy="anchor"`` keeps the anchor partitions of the
     global ``order`` whole (see :func:`deal_anchors`) and yields ascending
-    global-rid lists; it may yield fewer than ``chunks`` pieces.
+    rid lists; it may yield fewer than ``chunks`` pieces.
     """
     if chunks < 1:
         raise InvalidParameterError(f"chunks must be >= 1, got {chunks}")
@@ -147,13 +146,8 @@ def split_collection(
         return []
     chunks = min(chunks, n)
     records = collection.records
-    out: List[Tuple[Union[int, List[int]], SetCollection]] = []
-    if strategy == "contiguous":
-        size = (n + chunks - 1) // chunks
-        for lo in range(0, n, size):
-            piece = SetCollection(records[lo: lo + size], validate=False)
-            out.append((lo, piece))
-    elif strategy == "round_robin":
+    out: List[Tuple[List[int], SetCollection]] = []
+    if strategy == "round_robin":
         for c in range(chunks):
             rids = list(range(c, n, chunks))
             piece = SetCollection(
@@ -172,7 +166,7 @@ def split_collection(
     else:
         raise InvalidParameterError(
             f"unknown split strategy {strategy!r}; "
-            "expected 'contiguous', 'round_robin' or 'anchor'"
+            "expected 'round_robin' or 'anchor'"
         )
     return out
 
@@ -221,9 +215,7 @@ def build_method_index(
 ) -> Optional[Union[InvertedIndex, HybridInvertedIndex]]:
     """The superset-side index this ``(method, backend)`` pair consumes.
 
-    One decision point shared by the driver (which builds once and ships
-    the result to every worker) and by shard nodes (which build their own
-    copy in-process — sharded runs share no memory across nodes).
+    The driver builds it once and ships the result to every worker node.
     ``framework``/``framework_et`` on ``"hybrid"`` take the array index;
     the tree methods take the python index on every backend; the
     baselines build their own structures and take no index at all. A
@@ -263,15 +255,11 @@ def _join_chunk(args: Tuple[Any, ...]) -> ChunkResult:
         backend=backend, **kw,
     )
     local, sids = pair_columns(sink.pairs)
-    if isinstance(rid_map, int):
-        rids = local + rid_map
-    else:
-        rids = np.asarray(rid_map, dtype=np.int64)[local]
-    return ChunkResult(rids, sids, stats)
+    return ChunkResult(np.asarray(rid_map, dtype=np.int64)[local], sids, stats)
 
 
 #: A split of R: each piece with its rid mapping (see split_collection).
-_Chunks = List[Tuple[Union[int, List[int]], SetCollection]]
+_Chunks = List[Tuple[List[int], SetCollection]]
 
 
 class _ChunkJobs(NamedTuple):
@@ -303,12 +291,6 @@ class _ChunkJobs(NamedTuple):
         return (rid_map, piece, self.s_collection, self.method, self.backend,
                 self.index, self.extra, self.kwargs)
 
-    def with_local_index(self) -> _ChunkJobs:
-        """This factory over the caller's own index (a shard node's)."""
-        return self._replace(
-            index=build_method_index(self.s_collection, self.method, self.backend)
-        )
-
 
 # -- memory-budget admission control ---------------------------------------
 #
@@ -337,7 +319,6 @@ def _admit_memory(
     method: str,
     backend: str,
     allow_split: bool,
-    index_shared: Optional[bool] = None,
 ) -> Tuple[_Chunks, int, int, List[str]]:
     """Fit the run under ``memory_budget`` bytes; returns the adjusted plan.
 
@@ -359,10 +340,6 @@ def _admit_memory(
     :class:`InvalidParameterError` when even one worker holding a single
     record exceeds the budget.
 
-    ``index_shared`` overrides the backend-derived sharing assumption:
-    sharded runs pass ``False`` because every shard node builds its own
-    index copy, so even the array backends pay the index per node there.
-
     Returns ``(chunks, num_chunks, workers, notes)``: the split, the count
     it was asked for, the admitted concurrency and one note per decision.
     """
@@ -370,9 +347,8 @@ def _admit_memory(
     index_bytes = s_entries * (
         _CSR_BYTES_PER_ENTRY if array_index else _PY_BYTES_PER_ENTRY
     )
-    shared_index = array_index if index_shared is None else index_shared
-    per_worker_index = 0 if shared_index else index_bytes
-    avail = budget - (index_bytes if shared_index else 0)
+    per_worker_index = 0 if array_index else index_bytes
+    avail = budget - (index_bytes if array_index else 0)
 
     def worker_cost(entries: int) -> int:
         return per_worker_index + entries * _PY_BYTES_PER_ENTRY + _CHUNK_FIXED_BYTES
@@ -383,7 +359,7 @@ def _admit_memory(
     if max_entries < smallest:
         raise InvalidParameterError(
             f"memory_budget={budget} cannot admit this join: the "
-            f"{'shared ' if shared_index else ''}index costs "
+            f"{'shared ' if array_index else ''}index costs "
             f"{index_bytes} bytes and the smallest possible worker needs "
             f"{worker_cost(smallest)} more; raise the budget or shrink the "
             "inputs"
@@ -438,8 +414,6 @@ def parallel_join(
     deadline: Optional[float] = None,
     memory_budget: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
-    shards: Optional[int] = None,
-    shard_policy: Optional[ShardPolicy] = None,
     **kwargs: Any,
 ) -> Union[List[Tuple[int, int]], Tuple[List[Tuple[int, int]], JoinReport]]:
     """Join with ``workers`` processes (defaults to the CPU count).
@@ -467,13 +441,16 @@ def parallel_join(
     holds their sum in chunk-id order (lost and superseded attempts never
     count, and chunks resumed from spills add zero).
 
-    Multi-process runs are supervised by one
-    :class:`~repro.core.supervisor.Coordinator` over long-lived nodes:
-    each chunk is a tracked task with up to ``retries`` re-dispatches
-    (exponential ``backoff`` capped at ``backoff_cap``) and an optional
-    per-attempt ``task_timeout`` that catches hung attempts. A chunk whose
-    retries are exhausted falls back to in-process python-backend
-    execution unless ``fallback=False``, in which case
+    Multi-process runs split ``R`` into ``workers`` chunks and are
+    supervised by one :class:`~repro.core.supervisor.Coordinator` over
+    ``workers`` long-lived nodes: each chunk is a tracked task with up to
+    ``retries`` re-dispatches (exponential ``backoff`` capped at
+    ``backoff_cap``) and an optional per-attempt ``task_timeout`` that
+    catches hung attempts. Nodes that stop heartbeating are killed,
+    stragglers get a speculative duplicate, and a node that dies on its
+    own is respawned within a restart budget. A chunk whose retries are
+    exhausted falls back to in-process python-backend execution unless
+    ``fallback=False``, in which case
     :class:`~repro.errors.WorkerFailedError` /
     :class:`~repro.errors.JoinTimeoutError` is raised. ``faults`` (or the
     ``REPRO_FAULTS`` environment variable) injects deterministic worker
@@ -496,17 +473,6 @@ def parallel_join(
     chunk of the split is priced, oversized chunks are split and
     concurrency capped, each decision recorded in the report and warned
     as :class:`~repro.errors.DegradedExecutionWarning`.
-
-    **Sharding.** ``shards=N`` runs the same coordinator over N *sharded*
-    nodes: each builds its own index copy — no cross-shard shared memory —
-    stragglers get speculative duplicates, and a node that dies on its own
-    is respawned while ``shard_policy.restart_budget`` lasts. Fresh runs
-    split R into ``N × shard_policy.chunks_per_shard`` chunks. ``workers``
-    is ignored in this mode; ``retries``, ``task_timeout``,
-    ``backoff``/``backoff_cap``, ``fallback``, ``faults`` and the whole
-    durability contract above apply unchanged, so a killed coordinator
-    resumes a sharded run exactly like a killed driver resumes a pooled
-    one.
     """
     workers = workers if workers is not None else multiprocessing.cpu_count()
     if workers < 1:
@@ -522,20 +488,10 @@ def parallel_join(
         )
     if resume and checkpoint_dir is None:
         raise InvalidParameterError("resume=True requires checkpoint_dir=")
-    if shards is not None and shards < 1:
-        raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    if shard_policy is not None and shards is None:
-        raise InvalidParameterError("shard_policy= requires shards=")
     if faults is None:
         faults = FaultPlan.from_env()
 
-    policy = shard_policy if shard_policy is not None else ShardPolicy()
-    if shards is not None:
-        # More chunks than shards keeps requeue/speculation granular: a
-        # dead shard re-runs a slice of its work, not all of it.
-        concurrency, num_chunks = shards, shards * policy.chunks_per_shard
-    else:
-        concurrency = num_chunks = workers
+    num_chunks = workers
     n_records = len(r_collection)
     runlog: Optional[RunLog] = None
     completed: Dict[int, ChunkResult] = {}
@@ -554,8 +510,8 @@ def parallel_join(
                 r_fp, s_fp, method, backend, strategy, kwargs_repr, n_records
             )
             # The manifest's chunk split is authoritative: spilled chunk
-            # ids only name the same work under the same split. The
-            # concurrency still caps how many chunks run at once.
+            # ids only name the same work under the same split. ``workers``
+            # still caps how many chunks run at once.
             num_chunks = runlog.manifest.num_chunks
             spilled, discarded = runlog.load_columns()
             completed = {
@@ -584,24 +540,23 @@ def parallel_join(
 
     admission_notes: List[str] = []
     if memory_budget is not None and n_records > 0:
-        chunks, num_chunks, concurrency, admission_notes = _admit_memory(
+        chunks, num_chunks, workers, admission_notes = _admit_memory(
             memory_budget,
             split,
             r_collection,
             collection_footprint(s_collection),
-            concurrency,
+            workers,
             num_chunks,
             method=method,
             backend=backend,
             allow_split=runlog is None,
-            index_shared=False if shards is not None else None,
         )
         for note in admission_notes:
             warnings.warn(note, DegradedExecutionWarning, stacklevel=2)
     else:
         chunks = split(num_chunks)
     if not chunks:
-        report = JoinReport(workers=concurrency)
+        report = JoinReport(workers=workers)
         return ([], report) if return_report else []
     if runlog is None and checkpoint_dir is not None:
         manifest = RunManifest(
@@ -626,18 +581,11 @@ def parallel_join(
         # Every chunk already settled durably (e.g. resuming a COMPLETE
         # run): no index build, no dispatch — just merge the spills.
         by_chunk: Dict[int, ChunkResult] = completed
-        report = start_report(chunk_sizes, concurrency, faults, completed)
+        report = start_report(chunk_sizes, workers, faults, completed)
     else:
-        in_process = shards is None and (len(chunks) == 1 or concurrency == 1)
-        # Sharded nodes build their own index; everyone else shares ours.
-        shared_index = (
-            None
-            if shards is not None
-            else build_method_index(s_collection, method, backend, index)
-        )
-        if shards is not None:
-            primary_mode = "shard"
-        elif shared_index is None:
+        in_process = len(chunks) == 1 or workers == 1
+        shared_index = build_method_index(s_collection, method, backend, index)
+        if shared_index is None:
             primary_mode = "none"
         else:
             primary_mode = "direct" if in_process else "pickle"
@@ -671,8 +619,7 @@ def parallel_join(
                         _join_chunk,
                         chunk_sizes,
                         primary_mode,
-                        concurrency,
-                        policy=policy,
+                        workers,
                         retries=retries,
                         task_timeout=task_timeout,
                         backoff=backoff,

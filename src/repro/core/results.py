@@ -210,20 +210,19 @@ class AttemptRecord:
     """One dispatch of one chunk: where it ran and how it ended.
 
     ``mode`` is where the attempt's index came from — ``"pickle"`` (a
-    ``workers=`` node joining against the parent's index, received with
-    its job factory), ``"none"`` (no shared index: the method builds its
-    own structures), ``"direct"`` (in-process fast path), ``"local"``
-    (the in-process degradation fallback), ``"shard"`` (any attempt of a
-    sharded run, whose node built its own index, see
-    :mod:`repro.core.supervisor`) or ``"checkpoint"`` (the result was
+    worker node joining against the parent's index, received with its
+    job factory), ``"none"`` (no shared index: the method builds its own
+    structures), ``"direct"`` (in-process fast path), ``"local"`` (the
+    in-process degradation fallback) or ``"checkpoint"`` (the result was
     loaded from a verified spill, not computed). ``outcome`` is
     ``"ok"``, ``"error"`` (worker raised), ``"crash"`` (worker died without a
     result), ``"timeout"`` (killed at the ``task_timeout`` deadline),
     ``"resumed"`` (settled from the checkpoint with ``number=0`` and zero
-    duration) or ``"superseded"`` (a duplicate shard dispatch that lost
+    duration) or ``"superseded"`` (a duplicate node dispatch that lost
     the first-settle-wins race — its result, if any, was discarded).
 
-    ``shard`` is the shard-node id the attempt ran on (sharded runs only).
+    ``shard`` is the id of the worker node the attempt ran on (``None``
+    for in-process and resumed attempts).
     """
 
     number: int
@@ -263,14 +262,14 @@ class ChunkReport:
 
 @dataclass
 class ShardReport:
-    """One shard node's history across a sharded run (all incarnations).
+    """One worker node's history across a supervised run (all incarnations).
 
-    ``incarnations`` counts processes spawned under this shard id (1 for a
-    shard that never died); ``deaths`` counts hard exits *detected* —
+    ``incarnations`` counts processes spawned under this node id (1 for a
+    node that never died); ``deaths`` counts hard exits *detected* —
     EOF/exit-code crashes and heartbeat-miss kills alike — so
-    ``incarnations == deaths`` means the shard was dead at run end and
+    ``incarnations == deaths`` means the node was dead at run end and
     ``incarnations == deaths + 1`` means its last incarnation survived.
-    ``settled`` lists the chunk ids this shard won, in settle order.
+    ``settled`` lists the chunk ids this node won, in settle order.
     """
 
     shard: int
@@ -287,7 +286,7 @@ class JoinReport:
 
     Returned alongside the pairs with ``return_report=True``: per-chunk
     attempts with outcomes and wall-clock, plus every degradation step the
-    run took (in-process fallbacks, shard respawns, memory admission). A report
+    run took (in-process fallbacks, node respawns, memory admission). A report
     with ``total_retries == 0`` and no ``degradations`` is a clean run.
     """
 
@@ -302,10 +301,10 @@ class JoinReport:
     resumed_chunks: List[int] = field(default_factory=list)
     reexecuted_chunks: List[int] = field(default_factory=list)
     checkpoint_dir: Optional[str] = None
-    #: Sharded-run provenance (``shards=``): one :class:`ShardReport` per
-    #: shard id, chunk ids that received a speculative duplicate dispatch,
-    #: the subset of those the *speculative* attempt won, and how many dead
-    #: shard incarnations were respawned.
+    #: Node provenance of a supervised run: one :class:`ShardReport` per
+    #: worker node id, chunk ids that received a speculative duplicate
+    #: dispatch, the subset of those the *speculative* attempt won, and how
+    #: many dead node incarnations were respawned. Empty for in-process runs.
     shards: List["ShardReport"] = field(default_factory=list)
     speculated_chunks: List[int] = field(default_factory=list)
     speculation_wins: List[int] = field(default_factory=list)
@@ -348,14 +347,14 @@ class JoinReport:
             lines.append(f"fault plan: {self.fault_plan}")
         if self.shards:
             lines.append(
-                f"shards={len(self.shards)} restarts={self.shard_restarts} "
+                f"nodes={len(self.shards)} restarts={self.shard_restarts} "
                 f"speculated={len(self.speculated_chunks)} "
                 f"speculation_wins={len(self.speculation_wins)}"
             )
             for s in self.shards:
                 state = "dead" if s.deaths >= s.incarnations else "alive"
                 lines.append(
-                    f"  shard {s.shard}: incarnations={s.incarnations} "
+                    f"  node {s.shard}: incarnations={s.incarnations} "
                     f"deaths={s.deaths} settled={len(s.settled)} [{state}]"
                     + (f" last_error={s.last_error}" if s.last_error else "")
                 )

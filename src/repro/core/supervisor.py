@@ -4,12 +4,11 @@
 independent chunk joins (``∪ᵢ Rᵢ ⋈⊆ S``), which makes every chunk
 *re-executable*: an attempt that crashes, hangs, or raises can simply be
 run again without affecting any other chunk's result. This module is the
-one coordinator that exploits that property, for ``workers=`` and
-``shards=`` alike. It follows the processes-as-nodes model of the
-Filter-and-Verification-Tree MapReduce line of work: chunks are jobs sent
-to long-lived *nodes*, each a process that receives S, the index, the
-order and the chunk list once, when it is forked, and afterwards only
-``(chunk id, attempt)`` per job.
+one coordinator that exploits that property. It follows the
+processes-as-nodes model of the Filter-and-Verification-Tree MapReduce
+line of work: chunks are jobs sent to long-lived *nodes*, each a process
+that receives S, the index, the order and the chunk list once, when it
+is forked, and afterwards only ``(chunk id, attempt)`` per job.
 
 Each chunk is a tracked task with a lifecycle::
 
@@ -22,14 +21,25 @@ Each chunk is a tracked task with a lifecycle::
   sentinel and the cancel token at once. A raised exception (``error``),
   a death (pipe EOF or the sentinel, exit code captured: ``crash``), a
   run past ``task_timeout`` (the node is killed: ``timeout``) and
-  :attr:`ShardPolicy.heartbeat_miss_limit` missed heartbeats (a wedged
-  node, killed and recorded as a ``crash``) are all told apart.
+  ``_HEARTBEAT_MISS_LIMIT`` missed heartbeats (a wedged node, killed and
+  recorded as a ``crash``) are all told apart.
 * **Retry.** Failed attempts are re-dispatched with capped exponential
   backoff (``backoff * 2**(attempt-1)``, capped at ``backoff_cap``) on a
   live node; a dead node is replaced by a fresh one. Every attempt is an
   :class:`~repro.core.results.AttemptRecord` in the
   :class:`~repro.core.results.JoinReport`. The first result to settle a
   chunk wins; a duplicate's late result is dropped by chunk id.
+* **Speculation.** Once ``_SPECULATION_QUORUM`` chunks have settled, an
+  attempt in flight longer than ``max(_SPECULATION_MIN_SECONDS,
+  _SPECULATION_FACTOR × quantile)`` without a ``task_timeout`` deadline
+  gets one duplicate on an idle node. With one chunk per node and fewer
+  chunks than the quorum (``workers=2``) it never fires.
+* **Respawn budget.** A node that dies *running an attempt* is that
+  attempt's failure: the chunk's retries bound it, and the node is
+  replaced at once. A node that dies on its own (idle, or at job pickup)
+  is respawned with backoff while ``_RESTART_BUDGET`` lasts (one respawn
+  per node by default), and the run degrades to fewer nodes once it is
+  spent.
 * **Degradation.** A chunk that exhausts its retries falls back to
   **in-process execution on the pure-python backend** — strictly slower,
   but correct and isolated from whatever killed the nodes. The fallback
@@ -38,28 +48,14 @@ Each chunk is a tracked task with a lifecycle::
   :class:`~repro.errors.WorkerFailedError` (or its subclass
   :class:`~repro.errors.JoinTimeoutError` for a final timeout) instead.
 
-The mode (``workers=`` or ``shards=``, spelled ``primary_mode="shard"``)
-decides exactly three things:
-
-* **where a node's index comes from** — under ``workers=`` every node
-  joins against the parent's index, which arrives with the job factory
-  (inherited at fork, pickled once per node under other start methods);
-  under ``shards=`` each node builds its own copy, so no memory is shared
-  across nodes;
-* **straggler speculation** — only under ``shards=``: once
-  :attr:`ShardPolicy.speculation_quorum` chunks have settled, an attempt
-  in flight longer than ``max(speculation_min_seconds, speculation_factor
-  × quantile)`` without a ``task_timeout`` deadline gets one duplicate on
-  an idle node;
-* **the respawn cap** — only under ``shards=``: a node that dies on its
-  own (in its index build, idle, or at job pickup) is respawned with
-  backoff while :attr:`ShardPolicy.restart_budget` lasts, degrading to
-  fewer nodes once it is spent. A node that dies *running an attempt* is
-  that attempt's failure: the chunk's retries bound it, and it is replaced
-  at once in both modes, as a fresh process per attempt always was.
+Every node joins against the parent's index, which arrives with the job
+factory (inherited at fork, pickled once per node under other start
+methods). The thresholds are module constants, read when a run starts;
+the chaos tests shrink them with ``monkeypatch``, and forked nodes
+inherit the patch.
 
 Fault injection (:mod:`repro.faults`) hooks into the node at job pickup
-(the ``shard`` stage, sharded runs only) and at attempt start (``crash``/
+(the ``shard`` stage, keyed by node id) and at attempt start (``crash``/
 ``hang``/``raise``), so the chaos suites can script failures per
 ``(chunk, attempt)`` or per node deterministically.
 """
@@ -72,7 +68,6 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -97,7 +92,6 @@ from .runlog import CancelToken
 
 __all__ = [
     "Coordinator",
-    "ShardPolicy",
     "check_abort",
     "interruptible_wait",
     "start_report",
@@ -138,68 +132,28 @@ def interruptible_wait(
         time.sleep(timeout)
 
 
-@dataclass(frozen=True)
-class ShardPolicy:
-    """Tunable thresholds of the coordinator's robustness machinery.
+# -- robustness thresholds ---------------------------------------------------
+#
+# Read when a run starts, not bound at import, so a test may shrink them
+# with ``monkeypatch``. The defaults suit real workloads: sub-second
+# heartbeats, and speculation only for chunks 4x slower than the pack.
 
-    The heartbeat fields apply to every run; speculation, the restart
-    budget and ``chunks_per_shard`` only to sharded ones. The defaults
-    suit real workloads (sub-second heartbeats, speculation only for
-    chunks 4× slower than the pack); the chaos tests shrink them to keep
-    wall-clock down. ``restart_budget=None`` allows one respawn per shard
-    — enough to absorb one hard failure per node without letting a
-    deterministic crasher respawn forever.
-    """
-
-    #: Seconds between a node's heartbeats (sent even during index build).
-    heartbeat_interval: float = 0.2
-    #: Consecutive missed intervals before a silent node is declared dead.
-    heartbeat_miss_limit: int = 10
-    #: Settled chunks required before the runtime quantile is trusted.
-    speculation_quorum: int = 3
-    #: A chunk is a straggler past ``factor × quantile`` seconds in flight.
-    speculation_factor: float = 4.0
-    #: ...but never before this many seconds, whatever the quantile says.
-    speculation_min_seconds: float = 1.0
-    #: Which runtime quantile anchors the straggler threshold.
-    speculation_quantile: float = 0.75
-    #: Dead-shard respawns allowed across the run (``None`` → one per shard).
-    restart_budget: Optional[int] = None
-    #: Fresh runs split R into ``shards × chunks_per_shard`` chunks, so a
-    #: dead shard requeues a slice of its work, not all of it.
-    chunks_per_shard: int = 4
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise InvalidParameterError(
-                f"heartbeat_interval must be positive, got {self.heartbeat_interval}"
-            )
-        if self.heartbeat_miss_limit < 1:
-            raise InvalidParameterError(
-                f"heartbeat_miss_limit must be >= 1, got {self.heartbeat_miss_limit}"
-            )
-        if self.speculation_quorum < 1:
-            raise InvalidParameterError(
-                f"speculation_quorum must be >= 1, got {self.speculation_quorum}"
-            )
-        if self.speculation_factor <= 0 or self.speculation_min_seconds < 0:
-            raise InvalidParameterError(
-                "speculation_factor must be positive and "
-                "speculation_min_seconds non-negative"
-            )
-        if not 0.0 <= self.speculation_quantile <= 1.0:
-            raise InvalidParameterError(
-                f"speculation_quantile must be in [0, 1], "
-                f"got {self.speculation_quantile}"
-            )
-        if self.restart_budget is not None and self.restart_budget < 0:
-            raise InvalidParameterError(
-                f"restart_budget must be >= 0, got {self.restart_budget}"
-            )
-        if self.chunks_per_shard < 1:
-            raise InvalidParameterError(
-                f"chunks_per_shard must be >= 1, got {self.chunks_per_shard}"
-            )
+#: Seconds between a node's heartbeats.
+_HEARTBEAT_INTERVAL = 0.2
+#: Consecutive missed intervals before a silent node is declared dead.
+_HEARTBEAT_MISS_LIMIT = 10
+#: Settled chunks required before the runtime quantile is trusted.
+_SPECULATION_QUORUM = 3
+#: A chunk is a straggler past ``factor × quantile`` seconds in flight...
+_SPECULATION_FACTOR = 4.0
+#: ...but never before this many seconds, whatever the quantile says.
+_SPECULATION_MIN_SECONDS = 1.0
+#: Which runtime quantile anchors the straggler threshold.
+_SPECULATION_QUANTILE = 0.75
+#: Charged respawns allowed across the run (``None``: one per node) —
+#: enough to absorb one hard failure per node without letting a
+#: deterministic crasher respawn forever.
+_RESTART_BUDGET: Optional[int] = None
 
 
 #: A job tuple as consumed by ``repro.core.parallel._join_chunk``.
@@ -208,9 +162,7 @@ _Job = Tuple[Any, ...]
 _Result = Any
 _Runner = Callable[[_Job], _Result]
 #: Builds the job for a chunk id: ``jobs(chunk_id)`` on a node, and
-#: ``jobs(chunk_id, local=True)`` for the in-process fallback. Under
-#: ``shards=`` it also offers ``with_local_index()``, which a node calls
-#: once to build its own index.
+#: ``jobs(chunk_id, local=True)`` for the in-process fallback.
 _JobFactory = Any
 
 
@@ -266,13 +218,11 @@ def _node_main(
     runner: _Runner,
     plan: Optional[FaultPlan],
     heartbeat_interval: float,
-    sharded: bool,
 ) -> None:
-    """Node entry: (sharded: build an index, then) serve jobs until stopped.
+    """Node entry: serve jobs until stopped.
 
-    The heartbeat thread starts *before* the index build so a node working
-    through a large S never looks dead. ``conn`` is shared between the job
-    loop and the heartbeat thread, so every send goes through one lock.
+    ``conn`` is shared between the job loop and the heartbeat thread, so
+    every send goes through one lock.
     Each job announces ``("run", chunk, attempt)`` once the node starts the
     attempt, then ends in exactly one ``("done", chunk, attempt, result)``
     or ``("err", chunk, attempt, type, text)`` — or, for a crash, in no
@@ -304,9 +254,6 @@ def _node_main(
                     return
 
     threading.Thread(target=beat, daemon=True).start()
-    if sharded:
-        # Sharded runs share no memory across nodes: each builds its own.
-        jobs = jobs.with_local_index()
     parent = multiprocessing.parent_process()
     handles: List[Any] = [conn] if parent is None else [conn, parent.sentinel]
     try:
@@ -322,7 +269,7 @@ def _node_main(
             __, chunk_id, attempt = message
             rule = (
                 plan.rule_for_shard(node_id, incarnation, chunk_id)
-                if sharded and plan is not None
+                if plan is not None
                 else None
             )
             if rule is not None:
@@ -432,12 +379,9 @@ class Coordinator:
         Records per chunk (chunk ids ``0..len-1``), for the report.
     primary_mode:
         The mode every node attempt records: ``"pickle"`` (the parent's
-        index) or ``"none"`` (no index) under ``workers=``, or ``"shard"``
-        for a sharded run, whose nodes build their own index.
+        index) or ``"none"`` (no index).
     nodes:
         Maximum concurrently live nodes.
-    policy:
-        Heartbeat, speculation and restart thresholds (:class:`ShardPolicy`).
     retries:
         Re-dispatches allowed per chunk after its first failure.
     task_timeout:
@@ -473,7 +417,6 @@ class Coordinator:
         chunk_sizes: Sequence[int],
         primary_mode: str,
         nodes: int,
-        policy: Optional[ShardPolicy] = None,
         retries: int = 2,
         task_timeout: Optional[float] = None,
         backoff: float = 0.05,
@@ -495,7 +438,6 @@ class Coordinator:
             raise InvalidParameterError(f"backoff must be >= 0, got {backoff}")
         self._jobs = jobs
         self._runner = runner
-        self._policy = policy if policy is not None else ShardPolicy()
         self._retries = retries
         self._task_timeout = task_timeout
         self._backoff = backoff
@@ -506,8 +448,6 @@ class Coordinator:
         self._cancel = cancel
         self._deadline_mark = deadline_mark
         self._mode = primary_mode
-        self._sharded = primary_mode == "shard"
-        self._noun = "shard" if self._sharded else "worker"
         # Captured once: supervision events are rare (per attempt, not per
         # probe), so the null-registry indirection costs nothing measurable.
         self._metrics = active_or_null()
@@ -519,7 +459,7 @@ class Coordinator:
         self._pending = [s for s in self._states if s.chunk_id not in self._results]
         self._nodes = [_Node(i) for i in range(min(nodes, len(self._pending)))]
         self._durations: List[float] = []
-        budget = self._policy.restart_budget
+        budget = _RESTART_BUDGET
         self._restarts_left = budget if budget is not None else len(self._nodes)
 
     # -- public entry ------------------------------------------------------
@@ -540,8 +480,7 @@ class Coordinator:
                 self._loop()
         finally:
             self._shutdown()
-            if self._sharded:
-                self.report.shards = [node.report for node in self._nodes]
+            self.report.shards = [node.report for node in self._nodes]
             self.report.elapsed_seconds += time.perf_counter() - start
         return self._results
 
@@ -587,7 +526,7 @@ class Coordinator:
             )
 
     def _next_wakeup(self, now: float) -> Optional[float]:
-        window = self._policy.heartbeat_interval * self._policy.heartbeat_miss_limit
+        window = _HEARTBEAT_INTERVAL * _HEARTBEAT_MISS_LIMIT
         marks: List[float] = []
         for node in self._nodes:
             if node.alive:
@@ -624,8 +563,7 @@ class Coordinator:
                 self._jobs,
                 self._runner,
                 self._plan,
-                self._policy.heartbeat_interval,
-                self._sharded,
+                _HEARTBEAT_INTERVAL,
             ),
             daemon=True,
         )
@@ -648,7 +586,7 @@ class Coordinator:
             process.join(_KILL_GRACE)
 
     def _detect_dead(self, now: float) -> None:
-        window = self._policy.heartbeat_interval * self._policy.heartbeat_miss_limit
+        window = _HEARTBEAT_INTERVAL * _HEARTBEAT_MISS_LIMIT
         for node in self._nodes:
             if not node.alive or node.process is None:
                 continue
@@ -656,21 +594,19 @@ class Coordinator:
             if not node.process.is_alive():
                 self._on_death(node, now)
             elif now - node.last_beat > window:
-                if self._sharded:
-                    self._metrics.inc("shard.heartbeat_misses")
+                self._metrics.inc("shard.heartbeat_misses")
                 node.report.heartbeat_misses += 1
                 self._on_death(
                     node,
                     now,
-                    f"{self._noun} {node.node_id} missed "
-                    f"{self._policy.heartbeat_miss_limit} heartbeats "
-                    "(hang suspected)",
+                    f"node {node.node_id} missed {_HEARTBEAT_MISS_LIMIT} "
+                    "heartbeats (hang suspected)",
                 )
             elif busy is not None and busy.deadline is not None and now >= busy.deadline:
                 self._on_death(
                     node,
                     now,
-                    f"{self._noun} {node.node_id} exceeded "
+                    f"node {node.node_id} exceeded "
                     f"task_timeout={self._task_timeout}s",
                     outcome="timeout",
                 )
@@ -700,14 +636,14 @@ class Coordinator:
         if process.is_alive():
             self._kill(process)
         if cause is None:
-            cause = f"{self._noun} {node.node_id} died (exit code {process.exitcode})"
+            cause = f"node {node.node_id} died (exit code {process.exitcode})"
         if node.conn is not None:
             node.conn.close()
             node.conn = None
         assignment, node.busy = node.busy, None
         node.report.deaths += 1
         node.report.last_error = cause
-        node.charged = self._sharded and (assignment is None or not assignment.running)
+        node.charged = assignment is None or not assignment.running
         if not node.charged:
             node.respawn_at = now
         elif self._restarts_left > 0:
@@ -739,7 +675,7 @@ class Coordinator:
                 self._metrics.inc("shard.restarts")
                 self.report.shard_restarts += 1
                 self._degrade(
-                    f"shard {node.node_id} died ({node.report.last_error}); "
+                    f"node {node.node_id} died ({node.report.last_error}); "
                     f"respawned as incarnation {node.incarnation + 1} "
                     f"({self._restarts_left} restart(s) left)"
                 )
@@ -757,8 +693,7 @@ class Coordinator:
         assignment = _Assignment(
             state.chunk_id, state.attempts, self._mode, node.node_id, now, speculative
         )
-        if self._sharded:
-            self._metrics.inc("shard.assigned")
+        self._metrics.inc("shard.assigned")
         if speculative:
             state.speculated = True
             self._metrics.inc("shard.speculated")
@@ -773,7 +708,7 @@ class Coordinator:
             # The node died between our liveness check and the send; the
             # death handler requeues this very assignment.
             self._on_death(
-                node, now, f"{self._noun} {node.node_id} pipe closed at dispatch"
+                node, now, f"node {node.node_id} pipe closed at dispatch"
             )
 
     def _dispatch_ready(self, now: float) -> None:
@@ -809,18 +744,12 @@ class Coordinator:
             self._dispatch(self._states[straggler.chunk_id], idle[0], now, speculative=True)
 
     def _speculation_threshold(self) -> Optional[float]:
-        """Seconds in flight that make an attempt a straggler (sharded only)."""
-        if not self._sharded or len(self._durations) < self._policy.speculation_quorum:
+        """Seconds in flight that make an attempt a straggler."""
+        if len(self._durations) < _SPECULATION_QUORUM:
             return None
         ordered = sorted(self._durations)
-        rank = min(
-            len(ordered) - 1,
-            int(self._policy.speculation_quantile * len(ordered)),
-        )
-        return max(
-            self._policy.speculation_min_seconds,
-            self._policy.speculation_factor * ordered[rank],
-        )
+        rank = min(len(ordered) - 1, int(_SPECULATION_QUANTILE * len(ordered)))
+        return max(_SPECULATION_MIN_SECONDS, _SPECULATION_FACTOR * ordered[rank])
 
     # -- settlement --------------------------------------------------------
 
@@ -842,7 +771,7 @@ class Coordinator:
                 outcome=outcome,
                 duration=duration,
                 error=error,
-                shard=assignment.node_id if self._sharded else None,
+                shard=assignment.node_id,
             )
         )
 
@@ -866,8 +795,7 @@ class Coordinator:
         self._record(assignment, "ok", duration)
         self._results[state.chunk_id] = result
         node.report.settled.append(state.chunk_id)
-        if self._sharded:
-            self._metrics.inc("shard.settled")
+        self._metrics.inc("shard.settled")
         if assignment.speculative:
             self._metrics.inc("shard.speculation_wins")
             self.report.speculation_wins.append(state.chunk_id)
@@ -898,7 +826,7 @@ class Coordinator:
             )
             raise exc_cls(state.chunk_id, state.attempts, state.last_error)
         self._degrade(
-            f"chunk {state.chunk_id}: {state.attempts} {self._noun} attempt(s) "
+            f"chunk {state.chunk_id}: {state.attempts} node attempt(s) "
             f"failed ({state.last_error}); falling back to in-process python "
             "execution"
         )
@@ -926,7 +854,7 @@ class Coordinator:
             if state.chunk_id in self._results:
                 continue
             if not state.last_error:
-                state.last_error = f"no live {self._noun}s remain"
+                state.last_error = "no live nodes remain"
             state.inflight = []
             self._fallback_chunk(state)
 

@@ -131,7 +131,7 @@ class DegradedExecutionWarning(UserWarning):
 
     Emitted (via :mod:`warnings`) whenever a run leaves its planned path —
     a chunk falls back from its worker node to in-process execution, a
-    dead shard is respawned, memory admission splits chunks or caps
+    dead node is respawned, memory admission splits chunks or caps
     concurrency, or checkpointing turns off — so callers notice that
     results were computed correctly but more slowly.
     Not a :class:`ReproError`: the join still returned the exact pair set.

@@ -18,8 +18,8 @@ defined points of the run:
   (what a torn write looks like after a power cut), and ``diskfull`` makes
   the spill raise ``ENOSPC`` (checkpointing degrades to off; the join
   itself continues);
-* **shard** — in a sharded run's node (:mod:`repro.core.supervisor`), as it picks up a
-  job: ``kill`` hard-exits the whole node (the coordinator sees EOF plus
+* **shard** — in a supervised run's worker node
+  (:mod:`repro.core.supervisor`), keyed by node id, as it picks up a job: ``kill`` hard-exits the whole node (the coordinator sees EOF plus
   the exit code — a dead machine), ``hang`` stops the node's heartbeats
   and sleeps (a live-but-wedged machine, caught only by heartbeat-miss
   detection), and ``slow`` sleeps while heartbeats *continue* (a healthy
@@ -41,14 +41,14 @@ Spec grammar (``REPRO_FAULTS`` environment variable or ``FaultPlan.parse``)::
             | "serve" [":" seq] ":" serve_action ["@" prob] ["=" arg]
     chunk   = int | "*"                 # chunk id (0-based) or any chunk
     attempt = int | "*"                 # attempt number (1-based) or any
-    shard   = int | "*"                 # shard id (0-based) or any shard
+    shard   = int | "*"                 # node id (0-based) or any node
     seq     = int | "*"                 # op-log seq (1-based) or any record
     action  = "crash" | "hang" | "raise"
             | "driverkill" | "diskfull" | "torn"
     shard_action = "kill" | "hang" | "slow"
     serve_action = "kill" | "torn" | "diskfull" | "lag"
     arg     = float                     # hang/slow/lag duration seconds; for
-                                        # shard kill the last incarnation
+                                        # shard kill the last node incarnation
                                         # that still dies, for serve kill the
                                         # last *boot* that still dies
     prob    = float in (0, 1]           # fire probability (default 1)
@@ -58,9 +58,9 @@ set. Examples: ``*:1:crash`` crashes every worker exactly once (each
 chunk's first attempt); ``0:*:hang=120`` hangs chunk 0 on every attempt;
 ``*:1:crash@0.5`` crashes roughly half the chunks' first attempts;
 ``1:*:driverkill`` kills the driver immediately after chunk 1's result is
-durably checkpointed; ``shard:0:kill=1`` kills shard 0's first incarnation
-at its first job pickup (its respawn completes normally);
-``shard:2:slow=30`` makes shard 2 a 30-second straggler on every job;
+durably checkpointed; ``shard:0:kill=1`` kills worker node 0's first
+incarnation at its first job pickup (its respawn completes normally);
+``shard:2:slow=30`` makes node 2 a 30-second straggler on every job;
 ``serve:3:kill`` kills the serve process as op-log record 3 settles;
 ``serve:kill=1`` (seq defaults to ``*``) kills a durable server at its
 first settle point, but only on its first boot — the recovered process
@@ -109,8 +109,8 @@ ACTIONS = ("crash", "hang", "raise", "driverkill", "diskfull", "torn")
 #: these target the *driver* process, not a worker.
 CHECKPOINT_ACTIONS = ("driverkill", "diskfull", "torn")
 
-#: Actions legal on the ``shard`` stage — they target a whole shard node
-#: of a sharded run (:mod:`repro.core.supervisor`), not one chunk attempt.
+#: Actions legal on the ``shard`` stage — they target a whole worker node
+#: of a supervised run (:mod:`repro.core.supervisor`), not one chunk attempt.
 SHARD_ACTIONS = ("kill", "hang", "slow")
 
 #: Actions legal on the ``serve`` stage — they target the resident join
@@ -134,7 +134,7 @@ CRASH_EXIT_CODE = 66
 #: expires first.
 DEFAULT_HANG_SECONDS = 3600.0
 
-#: Default sleep for a shard ``slow`` fault — long enough to trip any sane
+#: Default sleep for a node ``slow`` fault — long enough to trip any sane
 #: speculation threshold, short enough not to stall a test run forever.
 DEFAULT_SLOW_SECONDS = 2.0
 
@@ -152,9 +152,9 @@ class FaultRule:
     first dispatch, so ``attempt=1`` rules model transient faults that a
     single retry absorbs.
 
-    ``stage="shard"`` rules reuse the ``chunk`` slot for the *shard id*
-    (``attempt`` is always ``None`` for them) and carry a
-    :data:`SHARD_ACTIONS` action; they fire when the named shard picks up
+    ``stage="shard"`` rules reuse the ``chunk`` slot for the worker *node
+    id* (``attempt`` is always ``None`` for them) and carry a
+    :data:`SHARD_ACTIONS` action; they fire when the named node picks up
     any job, whatever the chunk. ``stage="serve"`` rules reuse the slot
     for the write-ahead-log *sequence number* (1-based) and carry a
     :data:`SERVE_ACTIONS` action.

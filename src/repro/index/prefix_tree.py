@@ -110,9 +110,10 @@ class PrefixTree:
         self.num_sets = 0
         self.num_nodes = 1  # the root
         self.compressed = False
-        # Distinct elements per partition anchor (first element), collected
-        # during insertion so the partitioned joins (§V) can build local
-        # indexes without re-walking each subtree.
+        # Distinct elements per partition anchor (first element), filled by
+        # build() only, so the partitioned joins (§V) can build local
+        # indexes without re-walking each subtree. Trees grown by insert()
+        # (the incremental tries, compaction) have no reader for it.
         self.partition_elements: Dict[int, set] = {}
 
     # -- construction -----------------------------------------------------
@@ -130,8 +131,16 @@ class PrefixTree:
         tree after construction.
         """
         tree = cls(order)
+        anchors = tree.partition_elements
         for rid, record in enumerate(r_collection):
-            tree.insert(order.sort_record(record), rid)
+            ordered = order.sort_record(record)
+            tree.insert(ordered, rid)
+            if ordered:
+                elements = anchors.get(ordered[0])
+                if elements is None:
+                    anchors[ordered[0]] = set(ordered)
+                else:
+                    elements.update(ordered)
         if compress:
             tree.compress()
         tree.freeze()
@@ -140,12 +149,6 @@ class PrefixTree:
     def insert(self, sorted_elements: Sequence[int], rid: int) -> None:
         """Insert one set (already sorted in the global order) with id ``rid``."""
         node = self.root
-        if sorted_elements:
-            anchor_elements = self.partition_elements.get(sorted_elements[0])
-            if anchor_elements is None:
-                self.partition_elements[sorted_elements[0]] = set(sorted_elements)
-            else:
-                anchor_elements.update(sorted_elements)
         for e in sorted_elements:
             cmap = node.child_map
             if cmap is None:

@@ -87,7 +87,7 @@ COUNTER_CATALOGUE = {
     "tree.nodes": "prefix-tree nodes bound for traversal",
     "tree.rounds": "postorder traversal rounds",
     "tree.searches": "bisect probes issued by traversals",
-    # -- supervisor.*: the fault-tolerant coordinator (workers= and shards=) --
+    # -- supervisor.*: the fault-tolerant coordinator (workers=) --
     "supervisor.attempts": "chunk attempts dispatched (including retries)",
     "supervisor.retries": "re-dispatches after a failed attempt",
     "supervisor.ok": "attempts that returned a result",
@@ -95,18 +95,18 @@ COUNTER_CATALOGUE = {
     "supervisor.crashes": "attempts whose worker died silently",
     "supervisor.timeouts": "attempts killed at the task_timeout deadline",
     "supervisor.fallbacks": "chunks degraded to in-process execution",
-    "supervisor.degradations": "degradation events (in-process fallbacks, shard respawns)",
+    "supervisor.degradations": "degradation events (in-process fallbacks, node respawns)",
     "supervisor.cancellations": "runs aborted by cooperative cancellation",
     "supervisor.deadline_aborts": "runs aborted at the overall deadline",
     "supervisor.memory_splits": "admission-control chunk-split decisions",
     "supervisor.memory_caps": "admission-control worker-cap decisions",
-    # -- shard.*: the coordinator's sharded runs only (shards=) --
-    "shard.assigned": "chunk dispatches sent to shard nodes (incl. duplicates)",
-    "shard.settled": "chunks settled by a shard result (first settle wins)",
+    # -- shard.*: the coordinator's worker nodes (every supervised run) --
+    "shard.assigned": "chunk dispatches sent to worker nodes (incl. duplicates)",
+    "shard.settled": "chunks settled by a node result (first settle wins)",
     "shard.speculated": "speculative duplicate dispatches issued for stragglers",
     "shard.speculation_wins": "chunks won by the speculative attempt",
-    "shard.restarts": "dead shard incarnations respawned",
-    "shard.heartbeat_misses": "shards declared dead for missing heartbeats",
+    "shard.restarts": "dead node incarnations respawned",
+    "shard.heartbeat_misses": "nodes declared dead for missing heartbeats",
     # -- checkpoint.*: the durable run log --
     "checkpoint.chunks_written": "chunk spills durably committed",
     "checkpoint.bytes_written": "bytes committed to chunk spills",

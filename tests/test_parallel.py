@@ -23,25 +23,17 @@ fork_only = pytest.mark.skipif(
 
 
 class TestSplitCollection:
-    def test_covers_everything_in_order(self):
-        c = SetCollection([[i] for i in range(10)])
-        chunks = split_collection(c, 3)
-        rebuilt = []
-        for offset, piece in chunks:
-            assert offset == len(rebuilt)
-            rebuilt.extend(piece.records)
-        assert rebuilt == c.records
-
     def test_more_chunks_than_records(self):
         c = SetCollection([[1], [2]])
-        assert len(split_collection(c, 10)) == 2
+        assert len(split_collection(c, 10, strategy="round_robin")) == 2
 
     def test_empty(self):
-        assert split_collection(SetCollection([], validate=False), 4) == []
+        empty = SetCollection([], validate=False)
+        assert split_collection(empty, 4, strategy="round_robin") == []
 
     def test_invalid_chunks(self):
         with pytest.raises(InvalidParameterError):
-            split_collection(SetCollection([[1]]), 0)
+            split_collection(SetCollection([[1]]), 0, strategy="round_robin")
 
     def test_round_robin_covers_everything(self):
         c = SetCollection([[i] for i in range(11)])
@@ -62,14 +54,15 @@ class TestSplitCollection:
         # Records sorted by size: contiguous chunking puts all the large
         # sets in the last chunk; round-robin keeps postings balanced.
         c = SetCollection([list(range(n + 1)) for n in range(12)])
-        def spread(chunks):
-            loads = [
-                sum(len(rec) for rec in piece.records) for __, piece in chunks
-            ]
+        def spread(pieces):
+            loads = [sum(len(rec) for rec in piece) for piece in pieces]
             return max(loads) - min(loads)
 
-        rr = spread(split_collection(c, 4, strategy="round_robin"))
-        contiguous = spread(split_collection(c, 4, strategy="contiguous"))
+        rr = spread(
+            piece.records
+            for __, piece in split_collection(c, 4, strategy="round_robin")
+        )
+        contiguous = spread(c.records[lo: lo + 3] for lo in range(0, 12, 3))
         assert rr < contiguous  # 9 vs 27 on this workload
         assert rr <= 3 * (4 - 1)  # bounded by chunks × max size step
 
@@ -95,7 +88,7 @@ class TestParallelJoin:
         got = sorted(parallel_join(r, s, workers=3))
         assert got == [(0, 0), (1, 0), (2, 0)]
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin"])
+    @pytest.mark.parametrize("strategy", ["anchor", "round_robin"])
     def test_strategies_equivalent(self, strategy):
         r, s = random_instance(5)
         got = sorted(parallel_join(r, s, workers=3, strategy=strategy))

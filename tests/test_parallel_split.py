@@ -25,7 +25,13 @@ from hypothesis import strategies as st
 from repro.core.api import set_containment_join
 from repro.core.order import build_order
 from repro.core.parallel import deal_anchors, parallel_join, split_collection
-from repro.core.runlog import RunLog, _decode_spill, _encode_spill
+from repro.core.runlog import (
+    RunLog,
+    RunManifest,
+    _decode_spill,
+    _encode_spill,
+    collection_fingerprint,
+)
 from repro.core.stats import JoinStats
 from repro.data.collection import SetCollection
 from repro.errors import (
@@ -360,26 +366,49 @@ def _pooled_driver(ckpt):
     )
 
 
-def _sharded_driver(ckpt):
-    c = many_small_partitions()
-    parallel_join(
-        c, c, method="lcjoin", shards=2, checkpoint_dir=ckpt, resume=True,
-        faults=FaultPlan.parse("*:*:driverkill"),
-    )
-
-
 @fork_only
 class TestAnchorResume:
-    @pytest.mark.parametrize("driver", [_pooled_driver, _sharded_driver])
+    @pytest.mark.parametrize("driver", [_pooled_driver])
     def test_killed_driver_resume_reproduces_serial(self, tmp_path, driver):
         c = many_small_partitions()
         ckpt = str(tmp_path / "ck")
         assert _kill_loop(driver, (ckpt,)) >= 3
         assert RunLog.open(ckpt).manifest.strategy == "anchor"
-        kwargs = {"shards": 2} if driver is _sharded_driver else {"workers": 4}
         pairs, report = parallel_join(
             c, c, method="lcjoin", checkpoint_dir=ckpt, resume=True,
-            return_report=True, **kwargs,
+            return_report=True, workers=4,
         )
         assert sorted(pairs) == _serial(c, c, "lcjoin")
         assert report.resumed_chunks == list(range(len(report.chunks)))
+
+    def test_eight_chunk_manifest_resumes_under_two_workers(self, tmp_path):
+        # A run directory laid out as eight anchor chunks (what the retired
+        # shards=2 mode wrote), three of them spilled. The manifest's chunk
+        # count is authoritative, so two worker nodes finish the other five.
+        c = many_small_partitions()
+        ckpt = str(tmp_path / "ck")
+        fingerprint = collection_fingerprint(c)
+        log = RunLog.create(ckpt, RunManifest(
+            run_id="eight-chunks", r_fingerprint=fingerprint,
+            s_fingerprint=fingerprint, method="lcjoin", backend="python",
+            strategy="anchor", kwargs_repr="[]", num_chunks=8,
+            n_records=len(c), created=0.0,
+        ))
+        pieces = split_collection(c, 8, strategy="anchor", order=_order(c))
+        assert len(pieces) == 8
+        for chunk_id, (rid_map, piece) in enumerate(pieces[:3]):
+            local = set_containment_join(piece, c, method="lcjoin")
+            log.record_columns(
+                chunk_id, 1,
+                np.array([rid_map[rid] for rid, __ in local], dtype=np.int64),
+                np.array([sid for __, sid in local], dtype=np.int64),
+            )
+        pairs, report = parallel_join(
+            c, c, method="lcjoin", workers=2, checkpoint_dir=ckpt,
+            resume=True, return_report=True,
+        )
+        assert sorted(pairs) == _serial(c, c, "lcjoin")
+        assert len(report.chunks) == 8
+        assert report.resumed_chunks == [0, 1, 2]
+        assert len(report.shards) == 2
+        assert RunLog.open(ckpt).is_complete()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.core.order import build_order
 from repro.data.collection import SetCollection
 from repro.index.prefix_tree import PrefixTree
+from repro.pubsub.broker import Broker
+from repro.serve.state import ServeState
 
 records_strategy = st.lists(
     st.lists(st.integers(0, 12), min_size=1, max_size=6), min_size=1, max_size=25
@@ -89,6 +91,24 @@ class TestGlobalOrderIntegration:
         tree, __, __ = _build([[0, 1], [0, 2], [1, 2]])
         assert tree.partition_elements[0] == {0, 1, 2}
         assert tree.partition_elements[1] == {1, 2}
+
+    def test_incremental_tries_hold_no_partition_sets(self):
+        # Only the partitioned joins read partition_elements, and they get
+        # their trees from build(); the broker's and the store's tries grow
+        # by insert() and compaction, which leave it empty.
+        broker = Broker()
+        for keywords in ([1, 2], [2, 3], [1, 4], [5]):
+            broker.subscribe(keywords)
+        broker.unsubscribe(0)
+        broker.unsubscribe(1)
+        state = ServeState(SetCollection([[0, 1], [1, 2], [0, 3]]))
+        state.handle("append", {"record": [2, 3, 4]}, None)
+        state.handle("delete", {"sid": 0}, None)
+        state.handle("compact", {}, None)
+        assert (len(broker.trie), len(state.trie)) == (2, 3)
+        for trie in (broker.trie, state.trie):
+            assert trie.epoch == 1
+            assert trie.tree.partition_elements == {}
 
 
 class TestPatricia:

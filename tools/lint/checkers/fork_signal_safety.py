@@ -16,17 +16,18 @@ checker flags
   closure carries a pid guard (an ``os.getpid()`` call): a handler that
   unlinks ``/dev/shm`` segments without checking *which* process it is
   running in will, after ``fork``, destroy the driver's segments from a
-  worker. ``index/storage.py``'s hooks are the reference
-  implementation — every unlink sits behind an ``owner == os.getpid()``
-  comparison, so they pass without markers.
+  worker. The guard to write is an ``owner == os.getpid()`` comparison
+  in front of every unlink. The one handler registered in ``src/repro``
+  today, ``core/runlog.py``'s ``signal_cancellation``, only sets a flag
+  and writes one byte to a pipe, so it unlinks nothing.
 
 **Worker entrypoints don't scribble on module globals.** Functions
 handed to ``Process(target=...)`` run on the far side of a fork (or
 spawn); mutating a module-global dict/list/set there silently diverges
 from the parent's copy — the classic "works under fork, breaks under
 spawn, corrupts under neither-but-looks-fine" bug. Mutations guarded by
-an ``os.getpid()`` check in the same function are exempt, mirroring the
-storage-hook idiom.
+an ``os.getpid()`` check in the same function are exempt, as pid-guarded
+unlinks are above.
 
 Both halves anchor findings at the offending call/statement; suppress
 with ``# lint: fork-signal-safety (why)`` there or at the
